@@ -7,8 +7,8 @@ through the argmax coordinates.
 
 import numpy as np
 
-from nirmalpool import (Shape4, compute_pool_params, max_pool2x2_forward,
-                        nirmal_backward, nirmal_forward)
+from nirmalpool import (compute_pool_params, max_pool2x2_forward, nirmal_backward,
+                        nirmal_forward)
 
 # Parameter derivation: window = ceil(in/target), stride = max(1, floor(in/target))
 print("== adaptive parameters ==")
@@ -39,5 +39,5 @@ print("all-negative window pools to:", clamped[0, 0, 0, 0])
 # Backward pass: each output gradient lands on its window's argmax,
 # and outputs whose max was clamped contribute nothing.
 print("\n== backward pass ==")
-grad_in = nirmal_backward(np.ones_like(out), cache, Shape4(*x.shape))
+grad_in = nirmal_backward(np.ones_like(out), cache)
 print("gradient of sum(output) w.r.t. input:\n", grad_in[0, :, :, 0])

@@ -5,7 +5,6 @@ from .pooling import (
     PoolCache,
     PoolParams,
     compute_pool_params,
-    max_pool2x2_backward,
     max_pool2x2_forward,
     max_pool_forward,
     nirmal_backward,
@@ -20,7 +19,6 @@ __all__ = [
     "Shape4",
     "compute_pool_params",
     "elementwise_relu",
-    "max_pool2x2_backward",
     "max_pool2x2_forward",
     "max_pool_forward",
     "nirmal_backward",

@@ -127,6 +127,9 @@ def split_train_val(dataset: Dataset, fraction: float, seed: int) -> Split:
     rng = np.random.default_rng(seed)
     perm = rng.permutation(len(dataset))
     n_val = round(fraction * len(dataset))
+    if not 0 < n_val < len(dataset):
+        raise ValueError(f"fraction {fraction} of {len(dataset)} examples leaves an "
+                         f"empty train or validation split")
     return Split(train=dataset.subset(perm[n_val:]),
                  val=dataset.subset(perm[:n_val]), seed=seed)
 

@@ -198,6 +198,8 @@ def train(config: RunConfig, verbose: bool = False) -> RunReport:
             running_loss += loss * len(labels)
             running_correct += int((logits.argmax(axis=1) == labels).sum())
         val_loss, val_acc = evaluate(spec, params, split.val, config.batch_size)
+        if not np.isfinite(val_loss):
+            raise DivergenceError(epoch)
         metrics = EpochMetrics(epoch=epoch,
                                train_loss=running_loss / len(split.train),
                                train_accuracy=running_correct / len(split.train),
@@ -209,6 +211,8 @@ def train(config: RunConfig, verbose: bool = False) -> RunReport:
                   f"acc {val_acc:.4f}")
 
     test_loss, test_acc = evaluate(spec, params, test_set, config.batch_size)
+    if not np.isfinite(test_loss):
+        raise DivergenceError(config.epochs - 1)
     return RunReport(dataset=config.dataset, variant=config.pooling_variant,
                      seed=config.seed, fingerprint=config.fingerprint(),
                      epochs=epoch_metrics, test_loss=test_loss, test_accuracy=test_acc,

@@ -100,9 +100,10 @@ class ModelSpec:
 
     pooling_variant: str = "nirmal"          # "nirmal" | "max2x2"
     activation_placement: str = "pool_only"  # "after_conv" | "pool_only"
-    conv_filters: tuple[int, int] = (32, 64)
+    conv_filters: tuple[int, ...] = (32, 64)
     kernel_size: int = 3
-    dense_units: tuple[int, int] = (128, 10)
+    # Every dense layer but the last is followed by a ReLU; the last gives the logits.
+    dense_units: tuple[int, ...] = (128, 10)
     # Per-stage (target_h, target_w); None means exact halving of the
     # incoming feature map (ignored by the fixed 2x2 baseline).
     pool_targets: tuple[tuple[int, int] | None, ...] = (None, None)
@@ -112,6 +113,11 @@ class ModelSpec:
             raise ValueError(f"unknown pooling_variant {self.pooling_variant!r}")
         if self.activation_placement not in ("after_conv", "pool_only"):
             raise ValueError(f"unknown activation_placement {self.activation_placement!r}")
+        if not self.dense_units:
+            raise ValueError("dense_units must hold at least the output layer")
+        if len(self.pool_targets) > len(self.conv_filters):
+            raise ValueError(f"{len(self.pool_targets)} pool_targets for "
+                             f"{len(self.conv_filters)} conv stages")
 
 
 def default_placement(pooling_variant: str) -> str:
@@ -153,31 +159,14 @@ def _pooled_dims(spec: ModelSpec, stage: int, h: int, w: int) -> tuple[int, int]
     return p.out_h, p.out_w
 
 
-def shape_trace(spec: ModelSpec, input_shape: Shape4) -> list[tuple[int, ...]]:
-    """Spatial/feature shapes after each stage, input through logits."""
-    _, h, w, c = Shape4(*input_shape)
-    trace: list[tuple[int, ...]] = [(h, w, c)]
-    k = spec.kernel_size
-    for idx, filters in enumerate(spec.conv_filters):
-        h, w, c = h - k + 1, w - k + 1, filters
-        trace.append((h, w, c))
-        h, w = _pooled_dims(spec, idx, h, w)
-        trace.append((h, w, c))
-    trace.append((h * w * c,))
-    for units in spec.dense_units:
-        trace.append((units,))
-    return trace
-
-
 @dataclass
 class ForwardCache:
     conv_inputs: list[np.ndarray] = field(default_factory=list)
-    relu_masks: list[np.ndarray | None] = field(default_factory=list)
+    # One per conv stage under `after_conv`; empty under `pool_only`.
+    relu_masks: list[np.ndarray] = field(default_factory=list)
     pool_caches: list[pooling.PoolCache] = field(default_factory=list)
-    pool_input_shapes: list[Shape4] = field(default_factory=list)
     flat_input_shape: tuple[int, ...] | None = None
     dense_inputs: list[np.ndarray] = field(default_factory=list)
-    dense_relu_mask: np.ndarray | None = None
 
 
 def model_forward(spec: ModelSpec, params: dict[str, np.ndarray],
@@ -189,12 +178,8 @@ def model_forward(spec: ModelSpec, params: dict[str, np.ndarray],
         cache.conv_inputs.append(x)
         x = conv2d_forward(x, params[f"conv{idx}_w"], params[f"conv{idx}_b"])
         if spec.activation_placement == "after_conv":
-            mask = (x > 0.0).astype(np.float64)
+            cache.relu_masks.append((x > 0.0).astype(np.float64))
             x = elementwise_relu(x)
-            cache.relu_masks.append(mask)
-        else:
-            cache.relu_masks.append(None)
-        cache.pool_input_shapes.append(Shape4(*x.shape))
         if spec.pooling_variant == "nirmal":
             th, tw = _pool_target(spec, idx - 1, x.shape[1], x.shape[2])
             x, pc = pooling.nirmal_forward(x, th, tw)
@@ -203,35 +188,32 @@ def model_forward(spec: ModelSpec, params: dict[str, np.ndarray],
         cache.pool_caches.append(pc)
     cache.flat_input_shape = x.shape
     x = x.reshape(x.shape[0], -1)
-    cache.dense_inputs.append(x)
-    x = dense_forward(x, params["dense1_w"], params["dense1_b"])
-    cache.dense_relu_mask = (x > 0.0).astype(np.float64)
-    x = elementwise_relu(x)
-    cache.dense_inputs.append(x)
-    logits = dense_forward(x, params["dense2_w"], params["dense2_b"])
-    return logits, cache
+    last = len(spec.dense_units)
+    for idx in range(1, last + 1):
+        cache.dense_inputs.append(x)
+        x = dense_forward(x, params[f"dense{idx}_w"], params[f"dense{idx}_b"])
+        if idx < last:
+            x = elementwise_relu(x)
+    return x, cache
 
 
 def model_backward(spec: ModelSpec, params: dict[str, np.ndarray], cache: ForwardCache,
                    grad_logits: np.ndarray) -> dict[str, np.ndarray]:
     """Gradients for every parameter tensor, mirroring model_forward."""
     grads: dict[str, np.ndarray] = {}
-    g, grads["dense2_w"], grads["dense2_b"] = dense_backward(
-        cache.dense_inputs[1], params["dense2_w"], grad_logits)
-    g = g * cache.dense_relu_mask
-    g, grads["dense1_w"], grads["dense1_b"] = dense_backward(
-        cache.dense_inputs[0], params["dense1_w"], g)
+    g = grad_logits
+    for idx in range(len(spec.dense_units), 0, -1):
+        x = cache.dense_inputs[idx - 1]
+        g, grads[f"dense{idx}_w"], grads[f"dense{idx}_b"] = dense_backward(
+            x, params[f"dense{idx}_w"], g)
+        if idx > 1:
+            # x is the previous layer's ReLU output: positive exactly where its input was.
+            g = g * (x > 0.0).astype(np.float64)
     g = g.reshape(cache.flat_input_shape)
     for idx in range(len(spec.conv_filters), 0, -1):
-        pc = cache.pool_caches[idx - 1]
-        in_shape = cache.pool_input_shapes[idx - 1]
-        if spec.pooling_variant == "nirmal":
-            g = pooling.nirmal_backward(g, pc, in_shape)
-        else:
-            g = pooling.max_pool2x2_backward(g, pc, in_shape)
-        mask = cache.relu_masks[idx - 1]
-        if mask is not None:
-            g = g * mask
+        g = pooling.nirmal_backward(g, cache.pool_caches[idx - 1])
+        if cache.relu_masks:
+            g = g * cache.relu_masks[idx - 1]
         g, grads[f"conv{idx}_w"], grads[f"conv{idx}_b"] = conv2d_backward(
             cache.conv_inputs[idx - 1], params[f"conv{idx}_w"], g)
     return grads

@@ -9,9 +9,10 @@ size:
 
 Windows are placed only where they fully fit (no padding); trailing rows and
 columns not covered by any window are dropped. The fused variant applies ReLU
-to the pooled maxima. Backward passes route each output gradient to the
-coordinate that supplied the window maximum (first occurrence in row-major
-order on ties), gated by the ReLU mask for the fused variant.
+to the pooled maxima. One backward pass serves every pool: it routes each
+output gradient to the coordinate that supplied the window maximum (first
+occurrence in row-major order on ties), gated by the ReLU mask when the
+cache carries one.
 """
 
 import math
@@ -118,29 +119,18 @@ def nirmal_forward(x: np.ndarray, h_out_target: int, w_out_target: int) -> tuple
     return elementwise_relu(pooled), cache
 
 
-def _route_gradient(grad_out: np.ndarray, cache: PoolCache, input_shape: Shape4,
-                    masked: bool) -> np.ndarray:
-    shape = Shape4(*input_shape)
+def nirmal_backward(grad_out: np.ndarray, cache: PoolCache) -> np.ndarray:
+    """Route grad_out to each window's argmax, gated by the ReLU mask when the
+    cache carries one. Serves both the fused operator and the plain max pools."""
     if grad_out.shape != cache.argmax.shape:
         raise ValueError(f"grad_out shape {grad_out.shape} does not match "
                          f"cache output shape {cache.argmax.shape}")
-    if tuple(shape) != tuple(cache.input_shape):
-        raise ValueError(f"input_shape {tuple(shape)} does not match "
-                         f"cached shape {tuple(cache.input_shape)}")
-    contrib = grad_out
-    if masked:
-        if cache.relu_mask is None:
-            raise ValueError("cache carries no ReLU mask")
-        contrib = grad_out * cache.relu_mask
-    grad_in = np.zeros(shape.element_count(), dtype=np.float64)
+    if cache.relu_mask is not None:
+        grad_out = grad_out * cache.relu_mask
+    grad_in = np.zeros(cache.input_shape.element_count(), dtype=np.float64)
     # Overlapping windows (P > S) accumulate additively.
-    np.add.at(grad_in, cache.argmax.ravel(), contrib.ravel())
-    return grad_in.reshape(tuple(shape))
-
-
-def nirmal_backward(grad_out: np.ndarray, cache: PoolCache, input_shape: Shape4) -> np.ndarray:
-    """Route grad_out to each window's argmax, gated by the ReLU mask."""
-    return _route_gradient(grad_out, cache, input_shape, masked=True)
+    np.add.at(grad_in, cache.argmax.ravel(), grad_out.ravel())
+    return grad_in.reshape(cache.input_shape)
 
 
 def max_pool2x2_forward(x: np.ndarray) -> tuple[np.ndarray, PoolCache]:
@@ -149,7 +139,3 @@ def max_pool2x2_forward(x: np.ndarray) -> tuple[np.ndarray, PoolCache]:
     params = PoolParams(2, 2, 2, 2, output_shape(h, 2, 2), output_shape(w, 2, 2))
     return max_pool_forward(x, params)
 
-
-def max_pool2x2_backward(grad_out: np.ndarray, cache: PoolCache, input_shape: Shape4) -> np.ndarray:
-    """Unmasked argmax routing for the fixed 2x2 baseline."""
-    return _route_gradient(grad_out, cache, input_shape, masked=False)

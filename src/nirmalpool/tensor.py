@@ -35,20 +35,3 @@ def elementwise_relu(t: np.ndarray) -> np.ndarray:
     """max(0, x) per element; negative zero normalizes to +0.0."""
     return np.maximum(t, 0.0) + 0.0
 
-
-def flat_index(shape: Shape4, b: int, h: int, w: int, c: int) -> int:
-    """Row-major flat offset of (b, h, w, c)."""
-    shape = Shape4(*shape)
-    for i, (idx, extent) in enumerate(zip((b, h, w, c), shape)):
-        if not 0 <= idx < extent:
-            raise IndexError(f"index {idx} out of range for axis {i} (extent {extent})")
-    return ((b * shape.height + h) * shape.width + w) * shape.channels + c
-
-
-def get(t: np.ndarray, b: int, h: int, w: int, c: int) -> float:
-    return float(t.flat[flat_index(Shape4(*t.shape), b, h, w, c)])
-
-
-def set_(t: np.ndarray, b: int, h: int, w: int, c: int, v: float) -> None:
-    """In-place element write; used only inside single-operation builders."""
-    t.flat[flat_index(Shape4(*t.shape), b, h, w, c)] = v

@@ -58,6 +58,30 @@ def nirmal_oracle(x, th, tw):
     return out
 
 
+def pool_backward_oracle(x, grad_out, ph, pw, sh, sw, fused):
+    """Gradient of a max pool w.r.t. its input. Each output's gradient goes to
+    the first maximum of its window in row-major (dx, dy) order; when fused
+    with ReLU, only outputs whose maximum is > 0 pass gradient. Overlapping
+    windows accumulate."""
+    b, h, w, c = x.shape
+    oh, ow = placement_count(h, ph, sh), placement_count(w, pw, sw)
+    grad_in = np.zeros(x.shape)
+    for n in range(b):
+        for i in range(oh):
+            for j in range(ow):
+                for ch in range(c):
+                    best = (i * sh, j * sw)
+                    for dx in range(ph):
+                        for dy in range(pw):
+                            r, s = i * sh + dx, j * sw + dy
+                            if x[n, r, s, ch] > x[n, best[0], best[1], ch]:
+                                best = (r, s)
+                    if fused and not x[n, best[0], best[1], ch] > 0:
+                        continue
+                    grad_in[n, best[0], best[1], ch] += grad_out[n, i, j, ch]
+    return grad_in
+
+
 def conv2d_oracle(x, kernels, bias):
     """Quadruple-loop valid cross-correlation."""
     b, h, w, c_in = x.shape

@@ -87,7 +87,7 @@ def test_gradient_suite():
             result = check(rng)
             assert result.max_rel_error < 1e-5, result
     for variant in ("nirmal", "max2x2"):
-        result = gradcheck.check_model_end_to_end(rng, variant)
+        result = gradcheck.check_model_end_to_end(rng, gradcheck.toy_model_spec(variant))
         assert result.max_rel_error < 1e-5, result
     assert time.time() - start < 60.0
     report("gradient-suite")

@@ -147,7 +147,8 @@ def test_split_deterministic_and_seed_sensitive():
 
 def test_split_fraction_validation():
     ds = make_dataset(10)
-    for bad in (0.0, 1.0, -0.1, 1.5):
+    # 0.01 and 0.99 of 10 examples round to an empty validation or train part.
+    for bad in (0.0, 1.0, -0.1, 1.5, 0.01, 0.99):
         with pytest.raises(ValueError):
             data.split_train_val(ds, bad, seed=0)
 

@@ -1,10 +1,11 @@
 import csv
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
-from nirmalpool import cli, data, gradcheck, harness
+from nirmalpool import cli, data, gradcheck, harness, pooling
 
 
 def synth_config(**overrides):
@@ -87,11 +88,13 @@ def test_poolcheck_rows():
     assert all(r.achieved >= 1 for r in rows.values())
 
 
-def test_gradcheck_suite_passes_and_corruption_detected():
+def test_gradcheck_suite_passes_and_corruption_detected(monkeypatch):
     results = gradcheck.run_all(seed=0)
     assert len(results) == 7
     assert all(r.passed for r in results)
-    corrupted = gradcheck.run_all(seed=0, corrupt=True)
+    backward = pooling.nirmal_backward
+    monkeypatch.setattr(pooling, "nirmal_backward", lambda g, cache: 2.0 * backward(g, cache))
+    corrupted = gradcheck.run_all(seed=0)
     assert any(not r.passed for r in corrupted)
 
 
@@ -153,6 +156,43 @@ def test_cli_gradcheck(capsys):
     assert cli.main(["gradcheck", "--seed", "0"]) == cli.EXIT_OK
     out = capsys.readouterr().out
     assert out.count("PASS") == 7
+
+
+@pytest.mark.parametrize("nan_call", [0, 1])
+def test_non_finite_eval_loss_is_divergence(monkeypatch, tmp_path, nan_call):
+    """Call 0 evaluates the validation split, call 1 the test set."""
+    calls = itertools.count()
+    evaluate = harness.evaluate
+
+    def patched(*args):
+        loss, acc = evaluate(*args)
+        return (float("nan") if next(calls) == nan_call else loss), acc
+
+    monkeypatch.setattr(harness, "evaluate", patched)
+    code = cli.main(["train", "--dataset", "synthetic", "--epochs", "1",
+                     "--output-dir", str(tmp_path)])
+    assert code == cli.EXIT_DIVERGENCE
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_empty_validation_split_exit_code(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("dataset = synthetic\ntrain_limit = 4\nval_fraction = 0.1\n")
+    assert cli.main(["train", "--config", str(cfg), "--output-dir", str(tmp_path)]) \
+        == cli.EXIT_CONFIG
+
+
+def test_cli_more_pool_targets_than_stages_exit_code(tmp_path):
+    rng = np.random.default_rng(0)
+    sub = tmp_path / "mnist_digits"
+    sub.mkdir()
+    names = harness.MNIST_FILES["mnist_digits"]
+    for images, labels, count in ((names[0], names[1], 20), (names[2], names[3], 4)):
+        data.write_idx_images(sub / images, rng.integers(0, 256, (count, 28, 28)))
+        data.write_idx_labels(sub / labels, rng.integers(0, 10, count))
+    code = cli.main(["train", "--dataset", "mnist_digits", "--data-root", str(tmp_path),
+                     "--pool-targets", "half,half,half", "--output-dir", str(tmp_path)])
+    assert code == cli.EXIT_CONFIG
 
 
 def test_cli_missing_data_exit_code(monkeypatch, capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -129,7 +131,18 @@ def test_zero_weight_model_gives_uniform_logits():
 
 @pytest.mark.parametrize("variant", ["nirmal", "max2x2"])
 def test_model_end_to_end_finite_differences(variant):
-    result = gradcheck.check_model_end_to_end(np.random.default_rng(11), variant)
+    result = gradcheck.check_model_end_to_end(np.random.default_rng(11),
+                                              gradcheck.toy_model_spec(variant))
+    assert result.max_rel_error < 1e-5
+
+
+@pytest.mark.parametrize("dense_units", [(64, 32, 10), (10,)])
+def test_model_any_dense_depth(dense_units):
+    spec = dataclasses.replace(gradcheck.toy_model_spec("nirmal"), dense_units=dense_units)
+    params = nn.init_params(spec, Shape4(1, 8, 8, 1), seed=15)
+    logits, _ = nn.model_forward(spec, params, np.random.default_rng(16).uniform(size=(3, 8, 8, 1)))
+    assert logits.shape == (3, 10)
+    result = gradcheck.check_model_end_to_end(np.random.default_rng(17), spec)
     assert result.max_rel_error < 1e-5
 
 
@@ -161,7 +174,12 @@ def test_model_forward_deterministic():
 def test_mnist_architecture_shape_trace(variant):
     spec = nn.ModelSpec(pooling_variant=variant,
                         activation_placement=nn.default_placement(variant))
-    trace = nn.shape_trace(spec, Shape4(1, 28, 28, 1))
+    params = nn.init_params(spec, Shape4(1, 28, 28, 1), seed=0)
+    logits, cache = nn.model_forward(spec, params, np.zeros((1, 28, 28, 1)))
+    conv_in = [a.shape[1:] for a in cache.conv_inputs]
+    pool_in = [tuple(pc.input_shape)[1:] for pc in cache.pool_caches]
+    trace = [conv_in[0], pool_in[0], conv_in[1], pool_in[1], cache.flat_input_shape[1:],
+             *(a.shape[1:] for a in cache.dense_inputs), logits.shape[1:]]
     assert trace == [(28, 28, 1), (26, 26, 32), (13, 13, 32),
                      (11, 11, 64), (5, 5, 64), (1600,), (128,), (10,)]
 
@@ -171,3 +189,7 @@ def test_model_spec_validation():
         nn.ModelSpec(pooling_variant="avg")
     with pytest.raises(ValueError):
         nn.ModelSpec(activation_placement="everywhere")
+    with pytest.raises(ValueError):
+        nn.ModelSpec(dense_units=())
+    with pytest.raises(ValueError):
+        nn.ModelSpec(conv_filters=(8,), pool_targets=(None, None))

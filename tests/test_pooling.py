@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from nirmalpool import pooling
-from nirmalpool.tensor import Shape4, elementwise_relu
+from nirmalpool.tensor import elementwise_relu
 
 import oracles
 
@@ -137,7 +139,7 @@ def test_nirmal_backward_routing():
     # distinct values, non-overlapping 2x2 windows, all maxima positive
     x = np.arange(1.0, 17.0).reshape(1, 4, 4, 1)
     out, cache = pooling.nirmal_forward(x, 2, 2)
-    grad = pooling.nirmal_backward(np.ones_like(out), cache, Shape4(*x.shape))
+    grad = pooling.nirmal_backward(np.ones_like(out), cache)
     expected = np.zeros((1, 4, 4, 1))
     expected[0, 1, 1, 0] = expected[0, 1, 3, 0] = 1.0
     expected[0, 3, 1, 0] = expected[0, 3, 3, 0] = 1.0
@@ -148,7 +150,7 @@ def test_nirmal_backward_routing():
 def test_nirmal_backward_masks_nonpositive_max():
     x = np.full((1, 2, 2, 1), -5.0)
     out, cache = pooling.nirmal_forward(x, 1, 1)
-    grad = pooling.nirmal_backward(np.ones_like(out), cache, Shape4(*x.shape))
+    grad = pooling.nirmal_backward(np.ones_like(out), cache)
     assert (grad == 0.0).all()
 
 
@@ -157,7 +159,7 @@ def test_nirmal_backward_overlap_accumulates():
     x = np.zeros((1, 3, 3, 1))
     x[0, 1, 1, 0] = 9.0
     out, cache = pooling.nirmal_forward(x, 2, 2)
-    grad = pooling.nirmal_backward(np.ones_like(out), cache, Shape4(*x.shape))
+    grad = pooling.nirmal_backward(np.ones_like(out), cache)
     assert grad[0, 1, 1, 0] == 4.0
     assert grad.sum() == 4.0
 
@@ -165,9 +167,7 @@ def test_nirmal_backward_overlap_accumulates():
 def test_nirmal_backward_shape_mismatch():
     out, cache = pooling.nirmal_forward(PLANE_4X4, 2, 2)
     with pytest.raises(ValueError):
-        pooling.nirmal_backward(np.ones((1, 3, 3, 1)), cache, Shape4(*PLANE_4X4.shape))
-    with pytest.raises(ValueError):
-        pooling.nirmal_backward(np.ones_like(out), cache, Shape4(1, 5, 5, 1))
+        pooling.nirmal_backward(np.ones((1, 3, 3, 1)), cache)
 
 
 def test_max_pool2x2_examples():
@@ -186,7 +186,7 @@ def test_max_pool2x2_examples():
 def test_max_pool2x2_backward_no_mask():
     neg = np.full((1, 2, 2, 1), -5.0) + np.arange(4).reshape(1, 2, 2, 1) * 0.1
     out, cache = pooling.max_pool2x2_forward(neg)
-    grad = pooling.max_pool2x2_backward(np.ones_like(out), cache, Shape4(*neg.shape))
+    grad = pooling.nirmal_backward(np.ones_like(out), cache)
     assert grad.sum() == 1.0  # negative max still receives gradient
 
 
@@ -203,3 +203,53 @@ def test_target_larger_than_input():
     x = np.random.default_rng(8).uniform(-1, 1, size=(1, 4, 4, 1))
     out, _ = pooling.nirmal_forward(x, 8, 8)
     assert out.shape == (1, 4, 4, 1)
+
+
+# --- properties over arbitrary shapes, against the loop oracles ---
+
+# A small value set makes ties and zero maxima common; those are where the
+# first-maximum rule and the ReLU gate decide the routing.
+VALUES = st.sampled_from([-2.0, -0.5, -0.0, 0.0, 0.5, 1.0, 3.0])
+EXTENT = st.integers(1, 7)
+
+
+@st.composite
+def pool_case(draw):
+    """(x, grad_out, target_h, target_w): spatial extents and targets 1-7,
+    so 1-pixel inputs and targets larger than the input both occur."""
+    b, c = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    h, w = draw(EXTENT), draw(EXTENT)
+    th, tw = draw(EXTENT), draw(EXTENT)
+    x = draw(arrays(np.float64, (b, h, w, c), elements=VALUES))
+    p = pooling.compute_pool_params(h, w, th, tw)
+    grad_out = draw(arrays(np.float64, (b, p.out_h, p.out_w, c), elements=VALUES))
+    return x, grad_out, th, tw
+
+
+# No deadline: timings on a shared machine vary too much to gate on.
+@settings(deadline=None)
+@given(pool_case())
+def test_property_forward_matches_oracles(case):
+    x, _, th, tw = case
+    p = pooling.compute_pool_params(x.shape[1], x.shape[2], th, tw)
+    plain, _ = pooling.max_pool_forward(x, p)
+    fused, _ = pooling.nirmal_forward(x, th, tw)
+    expected_plain = oracles.max_pool_oracle(x, p.window_h, p.window_w, p.stride_h, p.stride_w)
+    assert plain.shape == expected_plain.shape
+    assert (plain == expected_plain).all()
+    assert (fused == oracles.nirmal_oracle(x, th, tw)).all()
+
+
+@settings(deadline=None)
+@given(pool_case(), st.booleans())
+def test_property_backward_matches_oracle(case, fused):
+    x, grad_out, th, tw = case
+    p = pooling.compute_pool_params(x.shape[1], x.shape[2], th, tw)
+    if fused:
+        _, cache = pooling.nirmal_forward(x, th, tw)
+    else:
+        _, cache = pooling.max_pool_forward(x, p)
+    grad = pooling.nirmal_backward(grad_out, cache)
+    expected = oracles.pool_backward_oracle(x, grad_out, p.window_h, p.window_w,
+                                            p.stride_h, p.stride_w, fused)
+    assert (grad == expected).all()

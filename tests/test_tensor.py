@@ -39,47 +39,3 @@ def test_relu_idempotent():
         once = tensor.elementwise_relu(x)
         assert (tensor.elementwise_relu(once) == once).all()
 
-
-def test_flat_index_examples():
-    assert tensor.flat_index(tensor.Shape4(1, 2, 2, 1), 0, 1, 0, 0) == 2
-    assert tensor.flat_index(tensor.Shape4(2, 3, 3, 2), 1, 0, 0, 0) == 18
-
-
-def test_get_set_roundtrip():
-    shape = tensor.Shape4(1, 2, 2, 1)
-    t = tensor.zeros(shape)
-    tensor.set_(t, 0, 1, 0, 0, 7.0)
-    assert tensor.get(t, 0, 1, 0, 0) == 7.0
-
-
-def test_get_set_roundtrip_random_shapes():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        shape = tensor.Shape4(*rng.integers(1, 9, size=4))
-        t = tensor.zeros(shape)
-        b, h, w, c = (int(rng.integers(0, e)) for e in shape)
-        v = float(rng.normal())
-        tensor.set_(t, b, h, w, c, v)
-        assert tensor.get(t, b, h, w, c) == v
-
-
-def test_out_of_bounds_raises():
-    t = tensor.zeros(tensor.Shape4(1, 2, 2, 1))
-    with pytest.raises(IndexError):
-        tensor.get(t, 0, 2, 0, 0)
-    with pytest.raises(IndexError):
-        tensor.set_(t, 0, 0, 0, -1, 1.0)
-
-
-def test_layout_law():
-    # lexicographic (b,h,w,c) iteration visits storage in order
-    shape = tensor.Shape4(2, 3, 2, 2)
-    t = np.arange(shape.element_count(), dtype=float).reshape(tuple(shape))
-    expected = 0
-    for b in range(shape.batch):
-        for h in range(shape.height):
-            for w in range(shape.width):
-                for c in range(shape.channels):
-                    assert tensor.get(t, b, h, w, c) == expected
-                    assert tensor.flat_index(shape, b, h, w, c) == expected
-                    expected += 1
