@@ -50,7 +50,10 @@ def _read_header(data: bytes, n_dims: int, path) -> tuple[int, ...]:
     header_len = 4 * (1 + n_dims)
     if len(data) < header_len:
         raise FormatError(f"{path}: truncated header ({len(data)} bytes)")
-    return struct.unpack(f">{1 + n_dims}i", data[:header_len])
+    magic, *dims = struct.unpack(f">{1 + n_dims}i", data[:header_len])
+    if min(dims) < 0:
+        raise FormatError(f"{path}: negative dimension in header {tuple(dims)}")
+    return magic, *dims
 
 
 def load_idx_images(path) -> np.ndarray:

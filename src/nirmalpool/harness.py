@@ -7,6 +7,7 @@ import csv
 import hashlib
 import json
 import os
+import tempfile
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -221,12 +222,22 @@ def train(config: RunConfig, verbose: bool = False) -> RunReport:
 
 
 def write_report(report: RunReport, output_dir) -> Path:
-    """Write `<name>.report.json` and append a row to `results.csv`."""
+    """Write `<dataset>_<variant>_seed<seed>_<fingerprint[:8]>.report.json`
+    and append a row to `results.csv`. The fingerprint keeps runs that differ
+    in any other setting apart; the JSON is written to a temporary file and
+    renamed over the target, so a reader never sees a partial report."""
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    name = f"{report.dataset}_{report.variant}_seed{report.seed}"
+    name = f"{report.dataset}_{report.variant}_seed{report.seed}_{report.fingerprint[:8]}"
     json_path = out / f"{name}.report.json"
-    json_path.write_text(report.to_json())
+    fd, tmp = tempfile.mkstemp(dir=out, prefix=f".{name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as f:
+            f.write(report.to_json())
+        os.replace(tmp, json_path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     csv_path = out / "results.csv"
     new_file = not csv_path.exists()
     with open(csv_path, "a", newline="") as f:

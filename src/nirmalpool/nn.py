@@ -37,9 +37,15 @@ def conv2d_forward(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.n
     return cols @ kernels.reshape(kh * kw * c_in, c_out) + bias
 
 
-def conv2d_backward(x: np.ndarray, kernels: np.ndarray,
-                    grad_out: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of conv2d_forward w.r.t. input, kernels and bias."""
+def conv2d_backward(x: np.ndarray, kernels: np.ndarray, grad_out: np.ndarray,
+                    need_grad_x: bool = True) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Gradients of conv2d_forward w.r.t. input, kernels and bias.
+
+    Both are GEMMs on the im2col layout (Chellapilla, Puri & Simard, 2006):
+    grad_kernels = cols^T @ grad_out over all B*OH*OW windows, and grad_x is
+    col2im, one GEMM per kernel offset added into the shifted input slice.
+    With need_grad_x=False the input gradient is skipped and returned as None.
+    """
     kh, kw, c_in, c_out = kernels.shape
     b, oh, ow, _ = grad_out.shape
     if grad_out.shape != (x.shape[0], x.shape[1] - kh + 1, x.shape[2] - kw + 1, c_out):
@@ -47,17 +53,20 @@ def conv2d_backward(x: np.ndarray, kernels: np.ndarray,
                          f"input {x.shape} and kernel {kernels.shape}")
 
     grad_bias = grad_out.sum(axis=(0, 1, 2))
+    g = grad_out.reshape(b * oh * ow, c_out)
 
     cols = sliding_window_view(x, (kh, kw), axis=(1, 2))
-    cols = cols.transpose(0, 1, 2, 4, 5, 3).reshape(b, oh, ow, kh * kw * c_in)
-    grad_kernels = np.einsum("bijk,bijo->ko", cols, grad_out).reshape(kh, kw, c_in, c_out)
+    cols = cols.transpose(0, 1, 2, 4, 5, 3).reshape(b * oh * ow, kh * kw * c_in)
+    grad_kernels = (cols.T @ g).reshape(kh, kw, c_in, c_out)
+    if not need_grad_x:
+        return None, grad_kernels, grad_bias
 
-    # grad_x is the full correlation of grad_out with spatially flipped kernels.
-    gpad = np.pad(grad_out, ((0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1), (0, 0)))
-    gcols = sliding_window_view(gpad, (kh, kw), axis=(1, 2))
-    gcols = gcols.transpose(0, 1, 2, 4, 5, 3).reshape(b, x.shape[1], x.shape[2], kh * kw * c_out)
-    kflip = kernels[::-1, ::-1].transpose(0, 1, 3, 2).reshape(kh * kw * c_out, c_in)
-    grad_x = gcols @ kflip
+    # col2im, one window offset at a time: the input pixel at offset (i, j)
+    # of every window receives grad_out @ kernels[i, j]^T.
+    grad_x = np.zeros(x.shape)
+    for i in range(kh):
+        for j in range(kw):
+            grad_x[:, i:i + oh, j:j + ow] += (g @ kernels[i, j].T).reshape(b, oh, ow, c_in)
     return grad_x, grad_kernels, grad_bias
 
 
@@ -214,6 +223,7 @@ def model_backward(spec: ModelSpec, params: dict[str, np.ndarray], cache: Forwar
         g = pooling.nirmal_backward(g, cache.pool_caches[idx - 1])
         if cache.relu_masks:
             g = g * cache.relu_masks[idx - 1]
+        # Nothing reads the gradient w.r.t. the network input.
         g, grads[f"conv{idx}_w"], grads[f"conv{idx}_b"] = conv2d_backward(
-            cache.conv_inputs[idx - 1], params[f"conv{idx}_w"], g)
+            cache.conv_inputs[idx - 1], params[f"conv{idx}_w"], g, need_grad_x=idx > 1)
     return grads

@@ -99,3 +99,26 @@ def conv2d_oracle(x, kernels, bias):
                                 acc += x[n, i + dx, j + dy, ci] * kernels[dx, dy, ci, o]
                     out[n, i, j, o] = acc
     return out
+
+
+def conv2d_backward_oracle(x, kernels, grad_out):
+    """Gradients of the valid cross-correlation w.r.t. input, kernels and
+    bias: every output gradient, times each tap, added where the tap read."""
+    b, h, w, c_in = x.shape
+    kh, kw, _, c_out = kernels.shape
+    oh, ow = h - kh + 1, w - kw + 1
+    grad_x = np.zeros(x.shape)
+    grad_k = np.zeros(kernels.shape)
+    grad_b = np.zeros(c_out)
+    for n in range(b):
+        for i in range(oh):
+            for j in range(ow):
+                for o in range(c_out):
+                    g = grad_out[n, i, j, o]
+                    grad_b[o] += g
+                    for dx in range(kh):
+                        for dy in range(kw):
+                            for ci in range(c_in):
+                                grad_x[n, i + dx, j + dy, ci] += g * kernels[dx, dy, ci, o]
+                                grad_k[dx, dy, ci, o] += g * x[n, i + dx, j + dy, ci]
+    return grad_x, grad_k, grad_b

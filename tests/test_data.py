@@ -1,8 +1,11 @@
 import io
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nirmalpool import data
 
@@ -119,6 +122,60 @@ def test_cifar_bad_label_rejected(tmp_path):
     path.write_bytes(make_cifar_record(10))
     with pytest.raises(ValueError):
         data.load_cifar10([path])
+
+
+def test_idx_negative_dims_rejected():
+    # 2 * -2 * -2 = 8 payload bytes, so only the sign check catches it.
+    raw = struct.pack(">4i", data.IDX_IMAGE_MAGIC, 2, -2, -2) + bytes(8)
+    with pytest.raises(data.FormatError):
+        data.load_idx_images(io.BytesIO(raw))
+    with pytest.raises(data.FormatError):
+        data.load_idx_labels(io.BytesIO(struct.pack(">2i", data.IDX_LABEL_MAGIC, -1)))
+
+
+# --- loader fuzz: malformed bytes may only raise FormatError or ValueError ---
+
+# Small dimensions make products that match the payload length likely;
+# the full i32 range covers overflow-sized headers.
+DIM = st.one_of(st.integers(-3, 3), st.integers(-2**31, 2**31 - 1))
+
+
+@st.composite
+def idx_bytes(draw, magic, n_dims):
+    """A header with the given magic (or a random one) and random dims, then a
+    random payload; or a prefix of that; or bytes with no structure at all."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=48))
+    magic = draw(st.one_of(st.just(magic), st.integers(-2**31, 2**31 - 1)))
+    dims = draw(st.lists(DIM, min_size=n_dims, max_size=n_dims))
+    raw = struct.pack(f">{1 + n_dims}i", magic, *dims) + draw(st.binary(max_size=40))
+    return raw[:draw(st.integers(0, len(raw)))]
+
+
+def loads_or_rejects(load, *args):
+    try:
+        load(*args)
+    except ValueError:  # data.FormatError is a ValueError
+        pass
+
+
+@settings(deadline=None)
+@given(idx_bytes(data.IDX_IMAGE_MAGIC, 3), idx_bytes(data.IDX_LABEL_MAGIC, 1))
+def test_fuzz_idx_loaders_raise_only_value_errors(images, labels):
+    loads_or_rejects(data.load_idx_images, io.BytesIO(images))
+    loads_or_rejects(data.load_idx_labels, io.BytesIO(labels))
+    loads_or_rejects(data.load_mnist, io.BytesIO(images), io.BytesIO(labels))
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.lists(st.integers(0, 255), max_size=2), st.binary(max_size=8), st.integers(0, 8))
+def test_fuzz_cifar_loader_raises_only_value_errors(labels, tail, cut):
+    """Whole records with any label byte, then garbage bytes or a cut-short end."""
+    raw = b"".join(bytes([label]) + bytes(range(256)) * 12 for label in labels) + tail
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "batch.bin"
+        path.write_bytes(raw[:len(raw) - cut])
+        loads_or_rejects(data.load_cifar10, [path])
 
 
 def make_dataset(n, seed=0):

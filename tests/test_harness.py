@@ -48,7 +48,7 @@ def test_report_json_roundtrip():
 def test_write_report_and_csv(tmp_path):
     report = harness.train(synth_config(epochs=1))
     json_path = harness.write_report(report, tmp_path)
-    assert json_path.name == "synthetic_nirmal_seed2.report.json"
+    assert json_path.name == f"synthetic_nirmal_seed2_{report.fingerprint[:8]}.report.json"
     assert harness.RunReport.from_json(json_path.read_text()) == report
 
     harness.write_report(report, tmp_path)  # append-only
@@ -58,6 +58,19 @@ def test_write_report_and_csv(tmp_path):
     assert len(rows) == 3
     assert rows[1] == rows[2]
     assert rows[1][0] == "synthetic" and rows[1][1] == "nirmal"
+
+
+def test_write_report_keeps_differing_runs_apart(tmp_path):
+    report = harness.train(synth_config(epochs=1))
+    other = dataclasses.replace(report, fingerprint=synth_config(epochs=1, lr=0.004).fingerprint())
+    path = harness.write_report(report, tmp_path)
+    other_path = harness.write_report(other, tmp_path)
+    assert path != other_path
+    assert harness.RunReport.from_json(path.read_text()) == report
+    assert harness.RunReport.from_json(other_path.read_text()) == other
+    # The temporary files were renamed into place; nothing else is left.
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [path.name, other_path.name, "results.csv"])
 
 
 def test_compare_runs_both_variants():
@@ -128,7 +141,8 @@ def test_cli_train_writes_outputs(tmp_path, capsys):
                      "--seed", "1", "--lr", "0.003",
                      "--output-dir", str(tmp_path)])
     assert code == cli.EXIT_OK
-    assert (tmp_path / "synthetic_nirmal_seed1.report.json").exists()
+    [report_path] = tmp_path.glob("synthetic_nirmal_seed1_*.report.json")
+    assert harness.RunReport.from_json(report_path.read_text()).seed == 1
     assert (tmp_path / "results.csv").exists()
     out = capsys.readouterr().out
     assert "test loss" in out

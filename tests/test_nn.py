@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from nirmalpool import gradcheck, nn
 from nirmalpool.tensor import Shape4
@@ -61,6 +63,70 @@ def test_conv_backward_bias_law():
 def test_conv_backward_finite_differences():
     result = gradcheck.check_conv2d_backward(np.random.default_rng(4))
     assert result.max_rel_error < 1e-6
+
+
+# Multiples of 1/8 in [-2, 2]: every product and sum below is exact in
+# float64, so the GEMM and the loop oracle agree whatever their order.
+EIGHTHS = st.integers(-16, 16).map(lambda v: v / 8)
+
+
+@st.composite
+def conv_case(draw):
+    """(x, kernels, grad_out): batch 1-3, kernels 1-3 by 1-3, 1-3 channels in
+    and out, and input extents from the kernel's up to 7 (1x1 output included)."""
+    kh, kw = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    b, c_in, c_out = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    h, w = draw(st.integers(kh, 7)), draw(st.integers(kw, 7))
+    x = draw(arrays(np.float64, (b, h, w, c_in), elements=EIGHTHS))
+    kernels = draw(arrays(np.float64, (kh, kw, c_in, c_out), elements=EIGHTHS))
+    grad_out = draw(arrays(np.float64, (b, h - kh + 1, w - kw + 1, c_out), elements=EIGHTHS))
+    return x, kernels, grad_out
+
+
+_ONE_BY_ONE = (np.arange(1, 19, dtype=float).reshape(2, 3, 3, 1) / 8,
+               np.arange(-9, 9, dtype=float).reshape(3, 3, 1, 2) / 8,
+               np.array([[[[1.0, -0.5]]], [[[0.25, 2.0]]]]))
+
+
+# No deadline: timings on a shared machine vary too much to gate on.
+@settings(deadline=None)
+@given(conv_case())
+@example(_ONE_BY_ONE)
+def test_property_conv_backward_matches_oracle(case):
+    x, kernels, grad_out = case
+    got = nn.conv2d_backward(x, kernels, grad_out)
+    for actual, expected in zip(got, oracles.conv2d_backward_oracle(x, kernels, grad_out)):
+        assert actual.shape == expected.shape
+        np.testing.assert_allclose(actual, expected, rtol=1e-12)
+
+
+def test_conv_backward_without_grad_x():
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(2, 6, 5, 3))
+    kernels = rng.normal(size=(3, 2, 3, 4))
+    grad_out = rng.normal(size=(2, 4, 4, 4))
+    gx, gk, gb = nn.conv2d_backward(x, kernels, grad_out, need_grad_x=False)
+    _, gk_full, gb_full = nn.conv2d_backward(x, kernels, grad_out)
+    assert gx is None
+    assert np.array_equal(gk, gk_full) and np.array_equal(gb, gb_full)
+
+
+def test_model_backward_skips_input_gradient(monkeypatch):
+    spec = nn.ModelSpec()
+    params = nn.init_params(spec, Shape4(1, 28, 28, 1), seed=0)
+    batch = np.random.default_rng(6).uniform(size=(2, 28, 28, 1))
+    logits, cache = nn.model_forward(spec, params, batch)
+    _, grad_logits = nn.softmax_cross_entropy(logits, np.array([3, 7]))
+    calls = []
+    backward = nn.conv2d_backward
+
+    def spy(x, kernels, grad_out, need_grad_x=True):
+        calls.append((x is batch, need_grad_x))
+        return backward(x, kernels, grad_out, need_grad_x=need_grad_x)
+
+    monkeypatch.setattr(nn, "conv2d_backward", spy)
+    nn.model_backward(spec, params, cache, grad_logits)
+    assert calls == [(False, True), (True, False)]
 
 
 def test_dense_identity_and_bias():
