@@ -9,7 +9,7 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -251,15 +251,10 @@ def write_report(report: RunReport, output_dir) -> Path:
 
 
 def compare(config: RunConfig, verbose: bool = False) -> dict[str, RunReport]:
-    """Run both pooling variants under identical seed/config."""
-    reports = {}
-    for variant in ("max2x2", "nirmal"):
-        cfg = RunConfig(**{**asdict(config),
-                           "pooling_variant": variant,
-                           "activation_placement": None,
-                           "pool_targets": config.pool_targets})
-        reports[variant] = train(cfg, verbose=verbose)
-    return reports
+    """Run both pooling variants under identical seed/config. A configured
+    activation placement applies to both; None gives each its default."""
+    return {variant: train(replace(config, pooling_variant=variant), verbose=verbose)
+            for variant in ("max2x2", "nirmal")}
 
 
 def comparison_table(reports: dict[str, RunReport]) -> str:

@@ -5,10 +5,12 @@ backward passes.
 The reference network is conv(32) -> pool -> conv(64) -> pool -> flatten ->
 dense(128) -> ReLU -> dense(10). The pooling stage is either the adaptive
 fused-ReLU operator or the fixed 2x2 baseline. `activation_placement`
-controls whether a ReLU follows each convolution (`after_conv`) or the
-non-linearity is supplied solely by the pooling stage (`pool_only`); with a
-ReLU before pooling, the fused activation is a no-op on the already
-non-negative maxima, so the adaptive variant defaults to `pool_only`.
+says whether a ReLU follows each convolution (`after_conv`) or the
+non-linearity is supplied solely by the pooling stage (`pool_only`). A ReLU
+commutes with max, relu(max(x)) = max(relu(x)), so `after_conv` is computed
+as a ReLU fused after the pool, on the pooled map only: the adaptive variant
+gives the same network under either placement, and the 2x2 baseline is
+unfused only under `pool_only`.
 """
 
 from dataclasses import dataclass, field
@@ -171,8 +173,6 @@ def _pooled_dims(spec: ModelSpec, stage: int, h: int, w: int) -> tuple[int, int]
 @dataclass
 class ForwardCache:
     conv_inputs: list[np.ndarray] = field(default_factory=list)
-    # One per conv stage under `after_conv`; empty under `pool_only`.
-    relu_masks: list[np.ndarray] = field(default_factory=list)
     pool_caches: list[pooling.PoolCache] = field(default_factory=list)
     flat_input_shape: tuple[int, ...] | None = None
     dense_inputs: list[np.ndarray] = field(default_factory=list)
@@ -186,14 +186,11 @@ def model_forward(spec: ModelSpec, params: dict[str, np.ndarray],
     for idx in range(1, len(spec.conv_filters) + 1):
         cache.conv_inputs.append(x)
         x = conv2d_forward(x, params[f"conv{idx}_w"], params[f"conv{idx}_b"])
-        if spec.activation_placement == "after_conv":
-            cache.relu_masks.append((x > 0.0).astype(np.float64))
-            x = elementwise_relu(x)
         if spec.pooling_variant == "nirmal":
             th, tw = _pool_target(spec, idx - 1, x.shape[1], x.shape[2])
             x, pc = pooling.nirmal_forward(x, th, tw)
         else:
-            x, pc = pooling.max_pool2x2_forward(x)
+            x, pc = pooling.max_pool2x2_forward(x, relu=spec.activation_placement == "after_conv")
         cache.pool_caches.append(pc)
     cache.flat_input_shape = x.shape
     x = x.reshape(x.shape[0], -1)
@@ -221,8 +218,6 @@ def model_backward(spec: ModelSpec, params: dict[str, np.ndarray], cache: Forwar
     g = g.reshape(cache.flat_input_shape)
     for idx in range(len(spec.conv_filters), 0, -1):
         g = pooling.nirmal_backward(g, cache.pool_caches[idx - 1])
-        if cache.relu_masks:
-            g = g * cache.relu_masks[idx - 1]
         # Nothing reads the gradient w.r.t. the network input.
         g, grads[f"conv{idx}_w"], grads[f"conv{idx}_b"] = conv2d_backward(
             cache.conv_inputs[idx - 1], params[f"conv{idx}_w"], g, need_grad_x=idx > 1)

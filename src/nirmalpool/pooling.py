@@ -9,10 +9,10 @@ size:
 
 Windows are placed only where they fully fit (no padding); trailing rows and
 columns not covered by any window are dropped. The fused variant applies ReLU
-to the pooled maxima. One backward pass serves every pool: it routes each
-output gradient to the coordinate that supplied the window maximum (first
-occurrence in row-major order on ties), gated by the ReLU mask when the
-cache carries one.
+to the pooled maxima; the fixed 2x2 pool does so on request. One backward
+pass serves every pool: it routes each output gradient to the coordinate
+that supplied the window maximum (first occurrence in row-major order on
+ties), gated by the ReLU mask when the cache carries one.
 """
 
 import math
@@ -37,10 +37,10 @@ class PoolParams:
 class PoolCache:
     """Backward-pass bookkeeping for one pooling application.
 
-    argmax holds, per output element, the flat (row-major BHWC) input
-    coordinate that supplied the maximum. relu_mask is 1 where the fused
-    activation passed the pooled value (max > 0), or None for the unfused
-    baseline.
+    argmax holds, per output element, the flat (row-major BHWC) int64 input
+    coordinate that supplied the maximum. relu_mask is a bool array, True
+    where the fused activation passed the pooled value (max > 0), or None
+    for an unfused pool.
     """
 
     argmax: np.ndarray
@@ -82,7 +82,10 @@ def compute_pool_params(h_in: int, w_in: int, h_out_target: int, w_out_target: i
 def max_pool_forward(x: np.ndarray, params: PoolParams) -> tuple[np.ndarray, PoolCache]:
     """Max over each window; cache records the winning coordinate per output.
 
-    Ties go to the first coordinate in row-major (dx, dy) order.
+    Loops over the P_h*P_w window offsets, not the output windows: offset
+    (dy, dx) is one strided view holding that offset's value for every
+    window. Ties go to the first offset in row-major (dy, dx) order; a
+    window holding NaN pools to NaN and records its first offset.
     """
     b, h, w, c = x.shape
     p = params
@@ -91,32 +94,49 @@ def max_pool_forward(x: np.ndarray, params: PoolParams) -> tuple[np.ndarray, Poo
     if (p.out_h - 1) * p.stride_h + p.window_h > h or (p.out_w - 1) * p.stride_w + p.window_w > w:
         raise ValueError("pool params incompatible with input dims")
 
-    out = np.empty((b, p.out_h, p.out_w, c), dtype=np.float64)
-    argmax = np.empty((b, p.out_h, p.out_w, c), dtype=np.int64)
-    b_idx = np.arange(b)[:, None]
-    c_idx = np.arange(c)[None, :]
-    for i in range(p.out_h):
-        hs = i * p.stride_h
-        for j in range(p.out_w):
-            ws = j * p.stride_w
-            patch = x[:, hs:hs + p.window_h, ws:ws + p.window_w, :]
-            flat = patch.reshape(b, p.window_h * p.window_w, c)
-            win = flat.argmax(axis=1)  # first occurrence, row-major over (dx, dy)
-            out[:, i, j, :] = np.take_along_axis(flat, win[:, None, :], axis=1)[:, 0, :]
-            h_abs = hs + win // p.window_w
-            w_abs = ws + win % p.window_w
-            argmax[:, i, j, :] = ((b_idx * h + h_abs) * w + w_abs) * c + c_idx
+    rows, cols = p.out_h * p.stride_h, p.out_w * p.stride_w
+    offsets = [(dy, dx) for dy in range(p.window_h) for dx in range(p.window_w)]
+    views = [x[:, dy:dy + rows:p.stride_h, dx:dx + cols:p.stride_w] for dy, dx in offsets]
+    out = np.array(views[0], dtype=np.float64)
+    for v in views[1:]:
+        np.maximum(out, v, out=out)
+
+    # Winning offset, scanned last to first so the first match is left:
+    # win - (win - k) == k, exact under unsigned wrap-around. Reused
+    # buffers spare a fresh allocation per offset.
+    win = np.zeros(out.shape, dtype=np.min_scalar_type(len(offsets) - 1))
+    hit, shift = np.empty(out.shape, dtype=bool), np.empty_like(win)
+    for k in range(len(offsets) - 1, -1, -1):
+        np.equal(views[k], out, out=hit)
+        np.subtract(win, k, out=shift)
+        shift *= hit
+        win -= shift
+
+    # Flat row-major BHWC index. Offset k = dy*P_w + dx lies
+    # dy*W + dx = k + dy*(W - P_w) pixels past the window's top-left pixel.
+    # Built in place on the one int64 array the cache keeps.
+    argmax = (win // p.window_w).astype(np.int64)
+    argmax *= w - p.window_w
+    argmax += win
+    top_left = ((np.arange(b)[:, None, None] * h + np.arange(p.out_h)[:, None] * p.stride_h) * w
+                + np.arange(p.out_w) * p.stride_w)
+    argmax += top_left[..., None]
+    argmax *= c
+    argmax += np.arange(c)
     cache = PoolCache(argmax=argmax, relu_mask=None, params=p, input_shape=Shape4(b, h, w, c))
     return out, cache
+
+
+def _fuse_relu(pooled: np.ndarray, cache: PoolCache) -> tuple[np.ndarray, PoolCache]:
+    cache.relu_mask = pooled > 0.0
+    return elementwise_relu(pooled), cache
 
 
 def nirmal_forward(x: np.ndarray, h_out_target: int, w_out_target: int) -> tuple[np.ndarray, PoolCache]:
     """Adaptive max pool followed by fused ReLU."""
     _, h, w, _ = x.shape
     params = compute_pool_params(h, w, h_out_target, w_out_target)
-    pooled, cache = max_pool_forward(x, params)
-    cache.relu_mask = (pooled > 0.0).astype(np.float64)
-    return elementwise_relu(pooled), cache
+    return _fuse_relu(*max_pool_forward(x, params))
 
 
 def nirmal_backward(grad_out: np.ndarray, cache: PoolCache) -> np.ndarray:
@@ -133,9 +153,11 @@ def nirmal_backward(grad_out: np.ndarray, cache: PoolCache) -> np.ndarray:
     return grad_in.reshape(cache.input_shape)
 
 
-def max_pool2x2_forward(x: np.ndarray) -> tuple[np.ndarray, PoolCache]:
-    """Standard max pooling with fixed 2x2 window and stride, no activation."""
+def max_pool2x2_forward(x: np.ndarray, relu: bool = False) -> tuple[np.ndarray, PoolCache]:
+    """Standard max pooling with fixed 2x2 window and stride; with relu=True
+    a ReLU is fused after it, as in nirmal_forward."""
     _, h, w, _ = x.shape
     params = PoolParams(2, 2, 2, 2, output_shape(h, 2, 2), output_shape(w, 2, 2))
-    return max_pool_forward(x, params)
+    result = max_pool_forward(x, params)
+    return _fuse_relu(*result) if relu else result
 

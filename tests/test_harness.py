@@ -92,6 +92,21 @@ def test_compare_deterministic():
         assert a[variant].test_accuracy == b[variant].test_accuracy
 
 
+def test_compare_keeps_configured_placement(monkeypatch):
+    specs = []
+    build = harness.build_model_spec
+    monkeypatch.setattr(harness, "build_model_spec",
+                        lambda config, hw: specs.append(build(config, hw)) or specs[-1])
+    reports = harness.compare(synth_config(epochs=1, activation_placement="pool_only"))
+    assert [s.activation_placement for s in specs] == ["pool_only", "pool_only"]
+    assert all(r.config["activation_placement"] == "pool_only" for r in reports.values())
+
+    specs.clear()
+    harness.compare(synth_config(epochs=1))
+    assert {s.pooling_variant: s.activation_placement for s in specs} == \
+           {"max2x2": "after_conv", "nirmal": "pool_only"}
+
+
 def test_poolcheck_rows():
     rows = {(r.h_in, r.target): r for r in harness.poolcheck(32)}
     row = rows[(28, 10)]

@@ -250,6 +250,36 @@ def test_mnist_architecture_shape_trace(variant):
                      (11, 11, 64), (5, 5, 64), (1600,), (128,), (10,)]
 
 
+def _logits_and_grads(variant, placement, batch, labels):
+    spec = nn.ModelSpec(pooling_variant=variant, activation_placement=placement)
+    params = nn.init_params(spec, Shape4(*batch.shape), seed=16)
+    logits, cache = nn.model_forward(spec, params, batch)
+    _, grad_logits = nn.softmax_cross_entropy(logits, labels)
+    grads = nn.model_backward(spec, params, cache, grad_logits)
+    return [logits.tobytes()] + [grads[k].tobytes() for k in sorted(grads)]
+
+
+@pytest.mark.parametrize("input_shape", [(4, 28, 28, 1), (4, 32, 32, 3)])
+def test_nirmal_placements_give_the_same_network(input_shape):
+    # relu(max(x)) = max(relu(x)): a ReLU after the conv and the ReLU fused
+    # after the pool give bitwise-equal logits and gradients.
+    rng = np.random.default_rng(15)
+    batch, labels = rng.normal(size=input_shape), rng.integers(0, 10, input_shape[0])
+    assert (_logits_and_grads("nirmal", "after_conv", batch, labels)
+            == _logits_and_grads("nirmal", "pool_only", batch, labels))
+
+
+def test_max2x2_after_conv_is_the_fused_pool():
+    # On even maps halving gives 2x2/s2 windows, so max2x2 under after_conv is
+    # nirmal's network; under pool_only it keeps negative maxima.
+    rng = np.random.default_rng(17)
+    batch = rng.normal(size=(4, 10, 10, 1))  # conv 8 -> pool 4 -> conv 2 -> pool 1
+    labels = rng.integers(0, 10, 4)
+    fused = _logits_and_grads("nirmal", "pool_only", batch, labels)
+    assert _logits_and_grads("max2x2", "after_conv", batch, labels) == fused
+    assert _logits_and_grads("max2x2", "pool_only", batch, labels)[0] != fused[0]
+
+
 def test_model_spec_validation():
     with pytest.raises(ValueError):
         nn.ModelSpec(pooling_variant="avg")

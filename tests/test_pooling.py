@@ -232,12 +232,54 @@ def pool_case(draw):
 def test_property_forward_matches_oracles(case):
     x, _, th, tw = case
     p = pooling.compute_pool_params(x.shape[1], x.shape[2], th, tw)
-    plain, _ = pooling.max_pool_forward(x, p)
-    fused, _ = pooling.nirmal_forward(x, th, tw)
+    plain, plain_cache = pooling.max_pool_forward(x, p)
+    fused, fused_cache = pooling.nirmal_forward(x, th, tw)
     expected_plain = oracles.max_pool_oracle(x, p.window_h, p.window_w, p.stride_h, p.stride_w)
     assert plain.shape == expected_plain.shape
     assert (plain == expected_plain).all()
     assert (fused == oracles.nirmal_oracle(x, th, tw)).all()
+    # The tracer reads argmax as flat row-major BHWC int64 indices into x.
+    for cache in (plain_cache, fused_cache):
+        assert cache.argmax.dtype == np.int64
+        assert (x.reshape(-1)[cache.argmax] == plain).all()
+
+
+@pytest.mark.parametrize("side", [16, 17, 24])
+def test_whole_map_window_matches_oracles(side):
+    # One window over the whole map: 256 offsets at 16x16, more above, where
+    # the winning offset no longer fits in a byte.
+    rng = np.random.default_rng(side)
+    x = rng.choice([-1.0, 0.0, 0.5, 2.0], size=(2, side, side, 3))
+    x[1, :, :, 1] = -3.0  # all tied: the map's first pixel wins
+    grad_out = rng.choice([-1.0, 1.0], size=(2, 1, 1, 3))
+    p = pooling.compute_pool_params(side, side, 1, 1)
+    assert (p.window_h, p.window_w, p.out_h, p.out_w) == (side, side, 1, 1)
+    for fused in (False, True):
+        if fused:
+            out, cache = pooling.nirmal_forward(x, 1, 1)
+            expected = oracles.nirmal_oracle(x, 1, 1)
+        else:
+            out, cache = pooling.max_pool_forward(x, p)
+            expected = oracles.max_pool_oracle(x, side, side, side, side)
+        assert (out == expected).all()
+        assert (x.reshape(-1)[cache.argmax] == x.max(axis=(1, 2), keepdims=True)).all()
+        assert cache.argmax[1, 0, 0, 1] == side * side * 3 + 1
+        grad = pooling.nirmal_backward(grad_out, cache)
+        assert (grad == oracles.pool_backward_oracle(x, grad_out, side, side, side, side,
+                                                     fused)).all()
+
+
+def test_nan_window_pools_to_nan():
+    x = np.arange(1.0, 17.0).reshape(1, 4, 4, 1)
+    x[0, 1, 0, 0] = np.nan  # in the top-left 2x2 window
+    x[0, 3, 3, 0] = np.nan  # in the bottom-right one
+    p = pooling.compute_pool_params(4, 4, 2, 2)
+    for out, cache in (pooling.max_pool_forward(x, p), pooling.nirmal_forward(x, 2, 2)):
+        assert np.isnan(out[0, 0, 0, 0]) and np.isnan(out[0, 1, 1, 0])
+        assert out[0, 0, 1, 0] == 8.0 and out[0, 1, 0, 0] == 14.0
+        # A NaN window records its first offset, the window's top-left pixel.
+        assert cache.argmax[0, 0, 0, 0] == 0
+        assert cache.argmax[0, 1, 1, 0] == 2 * 4 + 2
 
 
 @settings(deadline=None)
