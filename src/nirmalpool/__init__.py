@@ -11,7 +11,7 @@ from .pooling import (
     nirmal_forward,
     output_shape,
 )
-from .tensor import Shape4, elementwise_relu, zeros
+from .tensor import Shape4, elementwise_relu
 
 __all__ = [
     "PoolCache",
@@ -24,7 +24,6 @@ __all__ = [
     "nirmal_backward",
     "nirmal_forward",
     "output_shape",
-    "zeros",
 ]
 
 __version__ = "0.1.0"

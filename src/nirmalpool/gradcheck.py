@@ -155,9 +155,8 @@ def check_softmax_cross_entropy(rng) -> CheckResult:
 
 
 def toy_model_spec(variant: str = "nirmal") -> nn.ModelSpec:
-    return nn.ModelSpec(pooling_variant=variant,
-                        activation_placement=nn.default_placement(variant),
-                        conv_filters=(3,), dense_units=(8, 2), pool_targets=(None,))
+    return nn.ModelSpec(pooling_variant=variant, conv_filters=(3,), dense_units=(8, 2),
+                        pool_targets=(None,))
 
 
 def check_model_end_to_end(rng, spec: nn.ModelSpec) -> CheckResult:

@@ -61,9 +61,6 @@ class RunConfig:
     data_root: str | None = None
     output_dir: str = "."
 
-    def resolved_placement(self) -> str:
-        return self.activation_placement or nn.default_placement(self.pooling_variant)
-
     def fingerprint(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True, default=str)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
@@ -142,15 +139,12 @@ def load_dataset_pair(config: RunConfig) -> tuple[datasets.Dataset, datasets.Dat
 def build_model_spec(config: RunConfig, input_hw: tuple[int, int]) -> nn.ModelSpec:
     """Benchmark architecture sized for the dataset; a compact variant for
     the synthetic toy set, where 8x8 inputs cannot feed two pooling stages."""
-    if config.dataset == "synthetic":
-        return nn.ModelSpec(pooling_variant=config.pooling_variant,
-                            activation_placement=config.resolved_placement(),
-                            conv_filters=(8,), dense_units=(32, 2),
-                            pool_targets=(config.pool_targets or (None,))[:1])
+    conv_filters, dense_units = (((8,), (32, 2)) if config.dataset == "synthetic"
+                                 else ((32, 64), (128, 10)))
     return nn.ModelSpec(pooling_variant=config.pooling_variant,
-                        activation_placement=config.resolved_placement(),
-                        conv_filters=(32, 64), dense_units=(128, 10),
-                        pool_targets=config.pool_targets or (None, None))
+                        activation_placement=config.activation_placement,
+                        conv_filters=conv_filters, dense_units=dense_units,
+                        pool_targets=config.pool_targets or (None,) * len(conv_filters))
 
 
 def evaluate(spec: nn.ModelSpec, params: dict, dataset: datasets.Dataset,
@@ -176,6 +170,8 @@ def train(config: RunConfig, verbose: bool = False) -> RunReport:
         train_full = train_full.subset(np.arange(min(config.train_limit, len(train_full))))
     if config.test_limit is not None:
         test_set = test_set.subset(np.arange(min(config.test_limit, len(test_set))))
+    if not len(test_set):
+        raise ValueError("the test set is empty; check test_limit and the test files")
 
     split = datasets.split_train_val(train_full, config.val_fraction, config.seed)
     h, w, c = train_full.images.shape[1:]

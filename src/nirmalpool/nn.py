@@ -13,6 +13,7 @@ gives the same network under either placement, and the 2x2 baseline is
 unfused only under `pool_only`.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,7 +111,9 @@ class ModelSpec:
     """Declarative description of the benchmark network."""
 
     pooling_variant: str = "nirmal"          # "nirmal" | "max2x2"
-    activation_placement: str = "pool_only"  # "after_conv" | "pool_only"
+    # "after_conv" | "pool_only"; None takes the variant's default, pool_only
+    # for nirmal and after_conv for max2x2.
+    activation_placement: str | None = None
     conv_filters: tuple[int, ...] = (32, 64)
     kernel_size: int = 3
     # Every dense layer but the last is followed by a ReLU; the last gives the logits.
@@ -122,6 +125,9 @@ class ModelSpec:
     def __post_init__(self):
         if self.pooling_variant not in ("nirmal", "max2x2"):
             raise ValueError(f"unknown pooling_variant {self.pooling_variant!r}")
+        if self.activation_placement is None:
+            object.__setattr__(self, "activation_placement",
+                               "pool_only" if self.pooling_variant == "nirmal" else "after_conv")
         if self.activation_placement not in ("after_conv", "pool_only"):
             raise ValueError(f"unknown activation_placement {self.activation_placement!r}")
         if not self.dense_units:
@@ -131,43 +137,39 @@ class ModelSpec:
                              f"{len(self.conv_filters)} conv stages")
 
 
-def default_placement(pooling_variant: str) -> str:
-    return "pool_only" if pooling_variant == "nirmal" else "after_conv"
+def _pool(spec: ModelSpec, stage: int, x: np.ndarray) -> tuple[np.ndarray, pooling.PoolCache]:
+    """Pooling stage `stage` (0-based), the one place the two variants differ:
+    the fixed 2x2 pool, fused with a ReLU under after_conv, or the adaptive
+    fused pool toward the stage's target, where a missing or None target
+    halves the incoming map."""
+    if spec.pooling_variant == "max2x2":
+        return pooling.max_pool2x2_forward(x, relu=spec.activation_placement == "after_conv")
+    target = spec.pool_targets[stage] if stage < len(spec.pool_targets) else None
+    th, tw = target or (max(1, x.shape[1] // 2), max(1, x.shape[2] // 2))
+    return pooling.nirmal_forward(x, th, tw)
 
 
 def init_params(spec: ModelSpec, input_shape: Shape4, seed: int) -> dict[str, np.ndarray]:
-    """Kaiming-style normal init (std = sqrt(2 / fan_in)), zero biases."""
+    """Kaiming-style normal init (std = sqrt(2 / fan_in)), zero biases.
+
+    Layer sizes come from running the conv and pooling stages on an empty
+    batch, so they are the shapes model_forward produces."""
     rng = np.random.default_rng(seed)
-    _, h, w, c = Shape4(*input_shape)
     k = spec.kernel_size
+    x = np.empty((0, *Shape4(*input_shape)[1:]))
     params: dict[str, np.ndarray] = {}
     for idx, filters in enumerate(spec.conv_filters, start=1):
-        fan_in = k * k * c
-        params[f"conv{idx}_w"] = rng.normal(0.0, np.sqrt(2.0 / fan_in), (k, k, c, filters))
+        c = x.shape[3]
+        params[f"conv{idx}_w"] = rng.normal(0.0, np.sqrt(2.0 / (k * k * c)), (k, k, c, filters))
         params[f"conv{idx}_b"] = np.zeros(filters)
-        h, w, c = h - k + 1, w - k + 1, filters
-        h, w = _pooled_dims(spec, idx - 1, h, w)
-    features = h * w * c
+        x = conv2d_forward(x, params[f"conv{idx}_w"], params[f"conv{idx}_b"])
+        x, _ = _pool(spec, idx - 1, x)
+    features = math.prod(x.shape[1:])
     for idx, units in enumerate(spec.dense_units, start=1):
         params[f"dense{idx}_w"] = rng.normal(0.0, np.sqrt(2.0 / features), (features, units))
         params[f"dense{idx}_b"] = np.zeros(units)
         features = units
     return params
-
-
-def _pool_target(spec: ModelSpec, stage: int, h: int, w: int) -> tuple[int, int]:
-    target = spec.pool_targets[stage] if stage < len(spec.pool_targets) else None
-    if target is None:
-        target = (max(1, h // 2), max(1, w // 2))
-    return target
-
-
-def _pooled_dims(spec: ModelSpec, stage: int, h: int, w: int) -> tuple[int, int]:
-    if spec.pooling_variant == "max2x2":
-        return pooling.output_shape(h, 2, 2), pooling.output_shape(w, 2, 2)
-    th, tw = _pool_target(spec, stage, h, w)
-    p = pooling.compute_pool_params(h, w, th, tw)
-    return p.out_h, p.out_w
 
 
 @dataclass
@@ -186,11 +188,7 @@ def model_forward(spec: ModelSpec, params: dict[str, np.ndarray],
     for idx in range(1, len(spec.conv_filters) + 1):
         cache.conv_inputs.append(x)
         x = conv2d_forward(x, params[f"conv{idx}_w"], params[f"conv{idx}_b"])
-        if spec.pooling_variant == "nirmal":
-            th, tw = _pool_target(spec, idx - 1, x.shape[1], x.shape[2])
-            x, pc = pooling.nirmal_forward(x, th, tw)
-        else:
-            x, pc = pooling.max_pool2x2_forward(x, relu=spec.activation_placement == "after_conv")
+        x, pc = _pool(spec, idx - 1, x)
         cache.pool_caches.append(pc)
     cache.flat_input_shape = x.shape
     x = x.reshape(x.shape[0], -1)
@@ -214,7 +212,7 @@ def model_backward(spec: ModelSpec, params: dict[str, np.ndarray], cache: Forwar
             x, params[f"dense{idx}_w"], g)
         if idx > 1:
             # x is the previous layer's ReLU output: positive exactly where its input was.
-            g = g * (x > 0.0).astype(np.float64)
+            g = g * (x > 0.0)
     g = g.reshape(cache.flat_input_shape)
     for idx in range(len(spec.conv_filters), 0, -1):
         g = pooling.nirmal_backward(g, cache.pool_caches[idx - 1])

@@ -72,9 +72,6 @@ def compute_pool_params(h_in: int, w_in: int, h_out_target: int, w_out_target: i
     p_w = math.ceil(w_in / w_out_target)
     s_h = max(1, h_in // h_out_target)
     s_w = max(1, w_in // w_out_target)
-    # ceil(h/t) <= h for t >= 1, so these never trigger; kept as a guard.
-    if p_h > h_in or p_w > w_in:
-        raise ValueError(f"window ({p_h},{p_w}) larger than input ({h_in},{w_in})")
     return PoolParams(p_h, p_w, s_h, s_w,
                       output_shape(h_in, p_h, s_h), output_shape(w_in, p_w, s_w))
 

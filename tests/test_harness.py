@@ -211,7 +211,10 @@ def test_cli_empty_validation_split_exit_code(tmp_path):
         == cli.EXIT_CONFIG
 
 
-def test_cli_more_pool_targets_than_stages_exit_code(tmp_path):
+@pytest.mark.parametrize("dataset, targets", [("mnist_digits", "half,half,half"),
+                                               ("synthetic", "half,3x3,2x2")],
+                         ids=["mnist_digits", "synthetic"])
+def test_cli_more_pool_targets_than_stages_exit_code(tmp_path, dataset, targets):
     rng = np.random.default_rng(0)
     sub = tmp_path / "mnist_digits"
     sub.mkdir()
@@ -219,9 +222,23 @@ def test_cli_more_pool_targets_than_stages_exit_code(tmp_path):
     for images, labels, count in ((names[0], names[1], 20), (names[2], names[3], 4)):
         data.write_idx_images(sub / images, rng.integers(0, 256, (count, 28, 28)))
         data.write_idx_labels(sub / labels, rng.integers(0, 10, count))
-    code = cli.main(["train", "--dataset", "mnist_digits", "--data-root", str(tmp_path),
-                     "--pool-targets", "half,half,half", "--output-dir", str(tmp_path)])
+    code = cli.main(["train", "--dataset", dataset, "--data-root", str(tmp_path),
+                     "--pool-targets", targets, "--output-dir", str(tmp_path / "out")])
     assert code == cli.EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("test_limit", [0, -1])
+def test_cli_empty_test_set_exit_code(monkeypatch, tmp_path, test_limit):
+    def no_epochs(*args):
+        raise AssertionError("an epoch started before the empty test set was rejected")
+
+    monkeypatch.setattr(harness.datasets, "batches", no_epochs)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"dataset = synthetic\ntest_limit = {test_limit}\n")
+    assert cli.main(["train", "--config", str(cfg), "--output-dir", str(tmp_path / "out")]) \
+        == cli.EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_missing_data_exit_code(monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -238,8 +239,7 @@ def test_model_forward_deterministic():
 
 @pytest.mark.parametrize("variant", ["nirmal", "max2x2"])
 def test_mnist_architecture_shape_trace(variant):
-    spec = nn.ModelSpec(pooling_variant=variant,
-                        activation_placement=nn.default_placement(variant))
+    spec = nn.ModelSpec(pooling_variant=variant)
     params = nn.init_params(spec, Shape4(1, 28, 28, 1), seed=0)
     logits, cache = nn.model_forward(spec, params, np.zeros((1, 28, 28, 1)))
     conv_in = [a.shape[1:] for a in cache.conv_inputs]
@@ -248,6 +248,40 @@ def test_mnist_architecture_shape_trace(variant):
              *(a.shape[1:] for a in cache.dense_inputs), logits.shape[1:]]
     assert trace == [(28, 28, 1), (26, 26, 32), (13, 13, 32),
                      (11, 11, 64), (5, 5, 64), (1600,), (128,), (10,)]
+
+
+@st.composite
+def model_case(draw):
+    """A spec of 1-3 conv stages, either variant and placement, and per-stage
+    targets of None or up to the input size, with an input shape of 8-32 px."""
+    h, w = draw(st.integers(8, 32)), draw(st.integers(8, 32))
+    stages = draw(st.integers(1, 3))
+    target = st.none() | st.tuples(st.integers(1, h), st.integers(1, w))
+    placement = st.sampled_from([None, "after_conv", "pool_only"])
+    spec = nn.ModelSpec(pooling_variant=draw(st.sampled_from(["nirmal", "max2x2"])),
+                        activation_placement=draw(placement),
+                        conv_filters=(2,) * stages, dense_units=(4, 3),
+                        pool_targets=tuple(draw(target) for _ in range(stages)))
+    return spec, Shape4(1, h, w, draw(st.integers(1, 2)))
+
+
+@settings(deadline=None)
+@given(model_case())
+def test_property_init_sizes_match_forward(case):
+    spec, shape = case
+    try:
+        params = nn.init_params(spec, shape, seed=0)
+    except ValueError:
+        return  # a stage's map is too small for the next conv or pool
+    batch = np.random.default_rng(0).normal(size=(2, *shape[1:]))
+    logits, cache = nn.model_forward(spec, params, batch)
+    assert logits.shape == (2, spec.dense_units[-1])
+    assert params["dense1_w"].shape[0] == math.prod(cache.flat_input_shape[1:])
+
+
+def test_model_spec_placement_defaults_to_the_variant():
+    assert nn.ModelSpec().activation_placement == "pool_only"
+    assert nn.ModelSpec(pooling_variant="max2x2").activation_placement == "after_conv"
 
 
 def _logits_and_grads(variant, placement, batch, labels):

@@ -1,20 +1,6 @@
 import numpy as np
-import pytest
 
 from nirmalpool import tensor
-
-
-def test_zeros_examples():
-    t = tensor.zeros(tensor.Shape4(1, 2, 2, 1))
-    assert t.shape == (1, 2, 2, 1)
-    assert (t == 0.0).all()
-    assert tensor.zeros(tensor.Shape4(1, 1, 1, 1)).sum() == 0.0
-    assert tensor.zeros(tensor.Shape4(2, 3, 3, 4)).size == 72
-
-
-def test_zeros_rejects_bad_shape():
-    with pytest.raises(ValueError):
-        tensor.zeros(tensor.Shape4(0, 1, 1, 1))
 
 
 def test_relu_examples():
