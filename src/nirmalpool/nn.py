@@ -23,54 +23,80 @@ from . import pooling
 from .tensor import Shape4, elementwise_relu
 
 
+# Upper bound, in bytes, on the im2col matrix of one block of whole images:
+# half of a 2 MiB per-core L2 cache, so a block's GEMM operands stay in cache
+# (Goto & van de Geijn, 2008) and no full-batch im2col matrix is built.
+BLOCK_BYTES = 1 << 20
+
+
+def _windows(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """(B, OH, OW, kh, kw, Cin) view of every kh x kw window; one image's
+    windows reshape to its rows of the im2col matrix (Chellapilla, Puri &
+    Simard, 2006)."""
+    return sliding_window_view(x, (kh, kw), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
+
+
+def _blocks(windows: np.ndarray) -> list[slice]:
+    """Slices of whole images whose im2col rows fit in BLOCK_BYTES (at least
+    one image per block); the last block may be ragged."""
+    b = windows.shape[0]
+    per_image = math.prod(windows.shape[1:]) * windows.itemsize
+    step = max(1, BLOCK_BYTES // max(1, per_image))
+    return [slice(lo, min(lo + step, b)) for lo in range(0, b, step)]
+
+
 def conv2d_forward(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Valid (no-pad) stride-1 cross-correlation.
 
     x: (B, H, W, Cin), kernels: (kh, kw, Cin, Cout), bias: (Cout,).
-    Output: (B, H-kh+1, W-kw+1, Cout).
+    Output: (B, H-kh+1, W-kw+1, Cout). One im2col GEMM per block of images,
+    written into the output; the bias is added once at the end.
     """
     kh, kw, c_in, c_out = kernels.shape
     if x.shape[3] != c_in:
         raise ValueError(f"input channels {x.shape[3]} != kernel in_ch {c_in}")
     if x.shape[1] < kh or x.shape[2] < kw:
         raise ValueError(f"spatial dims {x.shape[1:3]} smaller than kernel ({kh},{kw})")
-    # (B, OH, OW, Cin, kh, kw) -> (B, OH, OW, kh*kw*Cin)
-    cols = sliding_window_view(x, (kh, kw), axis=(1, 2))
-    cols = cols.transpose(0, 1, 2, 4, 5, 3).reshape(*cols.shape[:3], kh * kw * c_in)
-    return cols @ kernels.reshape(kh * kw * c_in, c_out) + bias
+    windows = _windows(x, kh, kw)
+    w = kernels.reshape(kh * kw * c_in, c_out)
+    out = np.empty((*windows.shape[:3], c_out), np.result_type(x, kernels, bias))
+    for blk in _blocks(windows):
+        np.matmul(windows[blk].reshape(-1, w.shape[0]), w, out=out[blk].reshape(-1, c_out))
+    out += bias
+    return out
 
 
 def conv2d_backward(x: np.ndarray, kernels: np.ndarray, grad_out: np.ndarray,
                     need_grad_x: bool = True) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Gradients of conv2d_forward w.r.t. input, kernels and bias.
 
-    Both are GEMMs on the im2col layout (Chellapilla, Puri & Simard, 2006):
-    grad_kernels = cols^T @ grad_out over all B*OH*OW windows, and grad_x is
-    col2im, one GEMM per kernel offset added into the shifted input slice.
-    With need_grad_x=False the input gradient is skipped and returned as None.
+    Both are GEMMs on the im2col layout, over the same blocks of images as
+    the forward: grad_kernels sums cols^T @ grad_out block by block, and
+    grad_x is col2im, one GEMM per kernel offset added into the shifted input
+    slice. With need_grad_x=False the input gradient is skipped and returned
+    as None.
     """
     kh, kw, c_in, c_out = kernels.shape
-    b, oh, ow, _ = grad_out.shape
+    oh, ow = grad_out.shape[1:3]
     if grad_out.shape != (x.shape[0], x.shape[1] - kh + 1, x.shape[2] - kw + 1, c_out):
         raise ValueError(f"grad_out shape {grad_out.shape} incompatible with "
                          f"input {x.shape} and kernel {kernels.shape}")
 
     grad_bias = grad_out.sum(axis=(0, 1, 2))
-    g = grad_out.reshape(b * oh * ow, c_out)
-
-    cols = sliding_window_view(x, (kh, kw), axis=(1, 2))
-    cols = cols.transpose(0, 1, 2, 4, 5, 3).reshape(b * oh * ow, kh * kw * c_in)
-    grad_kernels = (cols.T @ g).reshape(kh, kw, c_in, c_out)
-    if not need_grad_x:
-        return None, grad_kernels, grad_bias
-
-    # col2im, one window offset at a time: the input pixel at offset (i, j)
-    # of every window receives grad_out @ kernels[i, j]^T.
-    grad_x = np.zeros(x.shape)
-    for i in range(kh):
-        for j in range(kw):
-            grad_x[:, i:i + oh, j:j + ow] += (g @ kernels[i, j].T).reshape(b, oh, ow, c_in)
-    return grad_x, grad_kernels, grad_bias
+    windows = _windows(x, kh, kw)
+    grad_kernels = np.zeros((kh * kw * c_in, c_out))
+    grad_x = np.zeros(x.shape) if need_grad_x else None
+    for blk in _blocks(windows):
+        g = grad_out[blk].reshape(-1, c_out)
+        grad_kernels += windows[blk].reshape(-1, grad_kernels.shape[0]).T @ g
+        if need_grad_x:
+            # col2im, one window offset at a time: the input pixel at offset
+            # (i, j) of every window receives grad_out @ kernels[i, j]^T.
+            gx = grad_x[blk]
+            for i in range(kh):
+                for j in range(kw):
+                    gx[:, i:i + oh, j:j + ow] += (g @ kernels[i, j].T).reshape(-1, oh, ow, c_in)
+    return grad_x, grad_kernels.reshape(kh, kw, c_in, c_out), grad_bias
 
 
 def dense_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:

@@ -25,7 +25,10 @@ def init_adam(params: dict[str, np.ndarray], lr: float = 0.001, beta1: float = 0
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               state: AdamState) -> dict[str, np.ndarray]:
-    """One bias-corrected Adam update; returns new params, advances state."""
+    """One bias-corrected Adam update; returns new params, advances state.
+
+    The moments in `state.m` and `state.v` are updated in place; the params
+    passed in are left unchanged."""
     if set(params) != set(grads):
         raise ValueError(f"param/grad key mismatch: {set(params) ^ set(grads)}")
     state.step += 1
@@ -35,9 +38,16 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         g = grads[key]
         if g.shape != p.shape:
             raise ValueError(f"gradient shape {g.shape} != param shape {p.shape} for {key!r}")
-        state.m[key] = state.beta1 * state.m[key] + (1.0 - state.beta1) * g
-        state.v[key] = state.beta2 * state.v[key] + (1.0 - state.beta2) * g * g
-        m_hat = state.m[key] / (1.0 - state.beta1 ** t)
-        v_hat = state.v[key] / (1.0 - state.beta2 ** t)
-        updated[key] = p - state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
+        m, v = state.m[key], state.v[key]
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * g * g
+        denom = v / (1.0 - state.beta2 ** t)
+        np.sqrt(denom, out=denom)
+        denom += state.epsilon
+        update = m / (1.0 - state.beta1 ** t)
+        update *= state.lr
+        update /= denom
+        updated[key] = p - update
     return updated

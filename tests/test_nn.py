@@ -72,11 +72,12 @@ EIGHTHS = st.integers(-16, 16).map(lambda v: v / 8)
 
 
 @st.composite
-def conv_case(draw):
-    """(x, kernels, grad_out): batch 1-3, kernels 1-3 by 1-3, 1-3 channels in
-    and out, and input extents from the kernel's up to 7 (1x1 output included)."""
+def conv_case(draw, batch=st.integers(1, 3)):
+    """(x, kernels, grad_out): batch 1-3 by default, kernels 1-3 by 1-3, 1-3
+    channels in and out, and input extents from the kernel's up to 7 (1x1
+    output included)."""
     kh, kw = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    b, c_in, c_out = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    b, c_in, c_out = draw(batch), draw(st.integers(1, 3)), draw(st.integers(1, 3))
     h, w = draw(st.integers(kh, 7)), draw(st.integers(kw, 7))
     x = draw(arrays(np.float64, (b, h, w, c_in), elements=EIGHTHS))
     kernels = draw(arrays(np.float64, (kh, kw, c_in, c_out), elements=EIGHTHS))
@@ -110,6 +111,65 @@ def test_conv_backward_without_grad_x():
     _, gk_full, gb_full = nn.conv2d_backward(x, kernels, grad_out)
     assert gx is None
     assert np.array_equal(gk, gk_full) and np.array_equal(gb, gb_full)
+
+
+def _im2col_bytes_per_image(x, kernels):
+    kh, kw, c_in, _ = kernels.shape
+    return (x.shape[1] - kh + 1) * (x.shape[2] - kw + 1) * kh * kw * c_in * x.itemsize
+
+
+_RAGGED = (np.arange(3 * 4 * 4 * 2, dtype=float).reshape(3, 4, 4, 2) / 8 - 3,
+           np.arange(-9, 9, dtype=float).reshape(3, 3, 2, 1) / 8,
+           np.arange(3 * 2 * 2, dtype=float).reshape(3, 2, 2, 1) / 8 - 0.5)
+
+
+# Batches of 2-5 with blocks of 1-2 images, so the convolution runs over
+# several blocks and, for odd batches of 2-image blocks, a ragged last block.
+@settings(deadline=None)
+@given(conv_case(batch=st.integers(2, 5)), st.integers(1, 2))
+@example(_RAGGED, 2)
+def test_property_blocked_conv_matches_oracle(case, images_per_block):
+    x, kernels, grad_out = case
+    bias = np.arange(kernels.shape[3]) / 8 - 0.25
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nn, "BLOCK_BYTES", images_per_block * _im2col_bytes_per_image(x, kernels))
+        out = nn.conv2d_forward(x, kernels, bias)
+        full = nn.conv2d_backward(x, kernels, grad_out)
+        no_grad_x = nn.conv2d_backward(x, kernels, grad_out, need_grad_x=False)
+    np.testing.assert_allclose(out, oracles.conv2d_oracle(x, kernels, bias), rtol=1e-12)
+    expected = oracles.conv2d_backward_oracle(x, kernels, grad_out)
+    for actual, want in zip(full, expected):
+        np.testing.assert_allclose(actual, want, rtol=1e-12)
+    assert no_grad_x[0] is None
+    for actual, want in zip(no_grad_x[1:], expected[1:]):
+        np.testing.assert_allclose(actual, want, rtol=1e-12)
+
+
+def test_blocked_conv_forward_is_the_unblocked_gemm():
+    """At mnist_train's conv2 shape the real budget splits the batch into
+    several blocks; each output row is the same GEMM row as one GEMM over
+    the whole batch, so the result is bitwise equal."""
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(64, 13, 13, 32))
+    kernels = rng.normal(size=(3, 3, 32, 64))
+    bias = rng.normal(size=64)
+    assert 1 < nn.BLOCK_BYTES // _im2col_bytes_per_image(x, kernels) < 64
+    cols = np.lib.stride_tricks.sliding_window_view(x, (3, 3), axis=(1, 2))
+    cols = cols.transpose(0, 1, 2, 4, 5, 3).reshape(64, 11, 11, 288)
+    expected = cols @ kernels.reshape(288, 64) + bias
+    out = nn.conv2d_forward(x, kernels, bias)
+    assert out.dtype == expected.dtype and out.shape == expected.shape
+    assert out.tobytes() == expected.tobytes()
+
+
+def test_conv_empty_batch():
+    kernels = np.ones((3, 3, 2, 4))
+    x = np.empty((0, 7, 6, 2))
+    assert nn.conv2d_forward(x, kernels, np.zeros(4)).shape == (0, 5, 4, 4)
+    gx, gk, gb = nn.conv2d_backward(x, kernels, np.empty((0, 5, 4, 4)))
+    assert gx.shape == x.shape
+    assert (gk == 0).all() and gk.shape == kernels.shape
+    assert (gb == 0).all() and gb.shape == (4,)
 
 
 def test_model_backward_skips_input_gradient(monkeypatch):

@@ -62,3 +62,38 @@ def test_shape_mismatch_errors():
         optim.adam_step(params, {"p": np.zeros(2)}, state)
     with pytest.raises(ValueError):
         optim.adam_step(params, {"q": np.zeros(1)}, state)
+
+
+def _reference_adam_step(params, grads, state):
+    """The Adam update written as whole-array expressions, with new moment
+    arrays every step."""
+    state.step += 1
+    t = state.step
+    updated = {}
+    for key, p in params.items():
+        g = grads[key]
+        state.m[key] = state.beta1 * state.m[key] + (1.0 - state.beta1) * g
+        state.v[key] = state.beta2 * state.v[key] + (1.0 - state.beta2) * g * g
+        m_hat = state.m[key] / (1.0 - state.beta1 ** t)
+        v_hat = state.v[key] / (1.0 - state.beta2 ** t)
+        updated[key] = p - state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    return updated
+
+
+def test_in_place_step_bitwise_equals_reference():
+    rng = np.random.default_rng(0)
+    params = {"w": rng.normal(size=(3, 4)), "b": rng.normal(size=4)}
+    ours, ref = params, dict(params)
+    state = optim.init_adam(params, lr=0.01)
+    ref_state = optim.init_adam(params, lr=0.01)
+    for _ in range(5):
+        grads = {k: rng.normal(size=p.shape) for k, p in params.items()}
+        before = {k: p.copy() for k, p in ours.items()}
+        new = optim.adam_step(ours, grads, state)
+        # The params passed in are not written to.
+        assert all(np.array_equal(ours[k], before[k]) for k in ours)
+        ours, ref = new, _reference_adam_step(ref, grads, ref_state)
+        for k in params:
+            for a, b in ((ours[k], ref[k]), (state.m[k], ref_state.m[k]),
+                         (state.v[k], ref_state.v[k])):
+                assert a.tobytes() == b.tobytes()
