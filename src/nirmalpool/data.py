@@ -6,6 +6,7 @@ then raw unsigned bytes. CIFAR-10 binary records are 3073 bytes: one label
 byte followed by channel-planar 1024R + 1024G + 1024B pixels.
 """
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -43,54 +44,49 @@ class Dataset:
 class Split:
     train: Dataset
     val: Dataset
-    seed: int
 
 
-def _read_header(data: bytes, n_dims: int, path) -> tuple[int, ...]:
+def _read_idx(path, magic: int, n_dims: int) -> np.ndarray:
+    """Raw uint8 array of an IDX file whose header holds `magic` and n_dims
+    dimensions; the payload must be exactly the bytes those dims call for."""
+    data = Path(path).read_bytes() if not hasattr(path, "read") else path.read()
     header_len = 4 * (1 + n_dims)
     if len(data) < header_len:
         raise FormatError(f"{path}: truncated header ({len(data)} bytes)")
-    magic, *dims = struct.unpack(f">{1 + n_dims}i", data[:header_len])
+    found, *dims = struct.unpack(f">{1 + n_dims}i", data[:header_len])
     if min(dims) < 0:
         raise FormatError(f"{path}: negative dimension in header {tuple(dims)}")
-    return magic, *dims
+    if found != magic:
+        raise FormatError(f"{path}: bad magic 0x{found:08x}, expected 0x{magic:08x}")
+    expected = header_len + math.prod(dims)
+    if len(data) != expected:
+        raise FormatError(f"{path}: expected {expected} bytes, got {len(data)}")
+    return np.frombuffer(data, dtype=np.uint8, offset=header_len).reshape(dims)
+
+
+def _write_idx(path, magic: int, array: np.ndarray) -> None:
+    array = np.asarray(array, dtype=np.uint8)
+    with open(path, "wb") as f:
+        f.write(struct.pack(f">{1 + array.ndim}i", magic, *array.shape))
+        f.write(array.tobytes())
 
 
 def load_idx_images(path) -> np.ndarray:
     """Raw uint8 image array (N, H, W) from an IDX image file."""
-    data = Path(path).read_bytes() if not hasattr(path, "read") else path.read()
-    magic, count, rows, cols = _read_header(data, 3, path)
-    if magic != IDX_IMAGE_MAGIC:
-        raise FormatError(f"{path}: bad image magic 0x{magic:08x}")
-    expected = 16 + count * rows * cols
-    if len(data) != expected:
-        raise FormatError(f"{path}: expected {expected} bytes, got {len(data)}")
-    return np.frombuffer(data, dtype=np.uint8, offset=16).reshape(count, rows, cols)
+    return _read_idx(path, IDX_IMAGE_MAGIC, 3)
 
 
 def load_idx_labels(path) -> np.ndarray:
     """Raw uint8 label array (N,) from an IDX label file."""
-    data = Path(path).read_bytes() if not hasattr(path, "read") else path.read()
-    magic, count = _read_header(data, 1, path)
-    if magic != IDX_LABEL_MAGIC:
-        raise FormatError(f"{path}: bad label magic 0x{magic:08x}")
-    if len(data) != 8 + count:
-        raise FormatError(f"{path}: expected {8 + count} bytes, got {len(data)}")
-    return np.frombuffer(data, dtype=np.uint8, offset=8)
+    return _read_idx(path, IDX_LABEL_MAGIC, 1)
 
 
 def write_idx_images(path, images: np.ndarray) -> None:
-    images = np.asarray(images, dtype=np.uint8)
-    with open(path, "wb") as f:
-        f.write(struct.pack(">4i", IDX_IMAGE_MAGIC, *images.shape))
-        f.write(images.tobytes())
+    _write_idx(path, IDX_IMAGE_MAGIC, images)
 
 
 def write_idx_labels(path, labels: np.ndarray) -> None:
-    labels = np.asarray(labels, dtype=np.uint8)
-    with open(path, "wb") as f:
-        f.write(struct.pack(">2i", IDX_LABEL_MAGIC, len(labels)))
-        f.write(labels.tobytes())
+    _write_idx(path, IDX_LABEL_MAGIC, labels)
 
 
 def load_mnist(images_path, labels_path, name: str = "mnist") -> Dataset:
@@ -118,8 +114,6 @@ def load_cifar10(paths: Sequence, name: str = "cifar10") -> Dataset:
         planes = records[:, 1:].reshape(-1, 3, 32, 32).transpose(0, 2, 3, 1)
         images.append(planes.astype(np.float64) / 255.0)
         labels.append(batch_labels.astype(np.int64))
-    if not images:
-        return Dataset(np.zeros((0, 32, 32, 3)), np.zeros(0, dtype=np.int64), name)
     return Dataset(np.concatenate(images), np.concatenate(labels), name)
 
 
@@ -134,7 +128,7 @@ def split_train_val(dataset: Dataset, fraction: float, seed: int) -> Split:
         raise ValueError(f"fraction {fraction} of {len(dataset)} examples leaves an "
                          f"empty train or validation split")
     return Split(train=dataset.subset(perm[n_val:]),
-                 val=dataset.subset(perm[:n_val]), seed=seed)
+                 val=dataset.subset(perm[:n_val]))
 
 
 def batches(dataset: Dataset, batch_size: int, seed: int,

@@ -1,15 +1,14 @@
-"""Central finite-difference checks for every backward pass.
-
-Each check perturbs inputs by +/- eps, compares the analytic gradient of a
-scalar objective against (f(x+eps) - f(x-eps)) / (2 eps), and reports the
-maximum relative error. Pooling instances with ties or near-zero maxima are
-resampled, since the subgradient is not unique there.
+"""Central finite-difference checks for every backward pass: `_check` compares
+analytic gradients with (f(x+eps) - f(x-eps)) / (2 eps) of one scalar loss and
+reports the maximum relative error. Pooling instances with ties or near-zero
+maxima are resampled, since the subgradient is not unique there.
 """
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import nn, pooling
 from .tensor import Shape4
@@ -51,64 +50,58 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.abs(analytic - numeric).max(initial=0.0) / denom)
 
 
+def _check(name: str, loss: Callable, inputs: Sequence, grads: Sequence) -> CheckResult:
+    """Max relative error of each grads[i] against central differences of
+    loss(*inputs) in inputs[i], which numeric_gradient perturbs in place."""
+    err = max(relative_error(g, numeric_gradient(lambda _: loss(*inputs), x))
+              for x, g in zip(inputs, grads))
+    return CheckResult(name, err, TOL)
+
+
+def _weighted_sum(forward: Callable[..., np.ndarray], weights: np.ndarray):
+    """The loss sum(forward(*inputs) * weights), whose gradient at forward's output is weights."""
+    return lambda *inputs: float((forward(*inputs) * weights).sum())
+
+
 def _pool_instance_ok(x: np.ndarray, params: pooling.PoolParams, margin: float = 1e-4) -> bool:
     """Reject instances where any window has a tie or a max within margin of 0."""
-    b, _, _, c = x.shape
-    for i in range(params.out_h):
-        hs = i * params.stride_h
-        for j in range(params.out_w):
-            ws = j * params.stride_w
-            patch = x[:, hs:hs + params.window_h, ws:ws + params.window_w, :]
-            flat = np.sort(patch.reshape(b, -1, c), axis=1)
-            if abs(flat[:, -1, :]).min() < margin:
-                return False
-            if flat.shape[1] > 1 and (flat[:, -1, :] - flat[:, -2, :]).min() < margin:
-                return False
-    return True
+    p = params
+    windows = sliding_window_view(x, (p.window_h, p.window_w), axis=(1, 2))
+    windows = windows[:, ::p.stride_h, ::p.stride_w].reshape(-1, p.window_h * p.window_w)
+    top = np.sort(windows)[:, -2:]
+    return bool(np.abs(top[:, -1]).min() >= margin
+                and np.diff(top).min(initial=np.inf) >= margin)
 
 
-def _random_pool_instance(rng, max_axis: int = 6):
-    while True:
-        b, h, w, c = rng.integers(1, max_axis + 1, size=4)
-        th, tw = rng.integers(1, max_axis + 1, size=2)
-        x = rng.uniform(-10.0, 10.0, size=(b, h, w, c))
-        params = pooling.compute_pool_params(h, w, th, tw)
-        if _pool_instance_ok(x, params):
-            return x, int(th), int(tw)
+def _check_pool(name: str, rng, draw: Callable[[], tuple]) -> CheckResult:
+    """Check pooling.nirmal_backward on the pool (x, forward) = draw(), redrawn until it passes."""
+    x, forward = draw()
+    while not _pool_instance_ok(x, forward(x)[1].params):
+        x, forward = draw()
+    out, cache = forward(x)
+    weights = rng.uniform(-1.0, 1.0, size=out.shape)
+    return _check(name, _weighted_sum(lambda t: forward(t)[0], weights), (x,),
+                  (pooling.nirmal_backward(weights, cache),))
 
 
 def check_nirmal_backward(rng) -> CheckResult:
-    x, th, tw = _random_pool_instance(rng)
-    out, cache = pooling.nirmal_forward(x, th, tw)
-    weights = rng.uniform(-1.0, 1.0, size=out.shape)
-    grad = pooling.nirmal_backward(weights, cache)
+    def draw():
+        b, h, w, c = rng.integers(1, 7, size=4)
+        th, tw = (int(v) for v in rng.integers(1, 7, size=2))
+        return (rng.uniform(-10.0, 10.0, size=(b, h, w, c)),
+                lambda t: pooling.nirmal_forward(t, th, tw))
 
-    def objective(t):
-        return float((pooling.nirmal_forward(t, th, tw)[0] * weights).sum())
-
-    return CheckResult("nirmal_backward", relative_error(grad, numeric_gradient(objective, x)), TOL)
+    return _check_pool("nirmal_backward", rng, draw)
 
 
 def check_max_pool2x2_backward(rng) -> CheckResult:
     """The shared backward pass on an unfused (mask-free) 2x2 pool cache."""
-    while True:
+    def draw():
         b, c = rng.integers(1, 4, size=2)
         h, w = rng.integers(2, 7, size=2)
-        x = rng.uniform(-10.0, 10.0, size=(b, h, w, c))
-        params = pooling.PoolParams(2, 2, 2, 2,
-                                    pooling.output_shape(h, 2, 2),
-                                    pooling.output_shape(w, 2, 2))
-        if _pool_instance_ok(x, params):
-            break
-    out, cache = pooling.max_pool2x2_forward(x)
-    weights = rng.uniform(-1.0, 1.0, size=out.shape)
-    grad = pooling.nirmal_backward(weights, cache)
+        return rng.uniform(-10.0, 10.0, size=(b, h, w, c)), pooling.max_pool2x2_forward
 
-    def objective(t):
-        return float((pooling.max_pool2x2_forward(t)[0] * weights).sum())
-
-    return CheckResult("max_pool2x2_backward",
-                       relative_error(grad, numeric_gradient(objective, x)), TOL)
+    return _check_pool("max_pool2x2_backward", rng, draw)
 
 
 def check_conv2d_backward(rng) -> CheckResult:
@@ -116,17 +109,8 @@ def check_conv2d_backward(rng) -> CheckResult:
     kernels = rng.uniform(-1.0, 1.0, size=(3, 3, 2, 3))
     bias = rng.uniform(-1.0, 1.0, size=3)
     weights = rng.uniform(-1.0, 1.0, size=(2, 3, 3, 3))
-    grad_x, grad_k, grad_b = nn.conv2d_backward(x, kernels, weights)
-
-    err = max(
-        relative_error(grad_x, numeric_gradient(
-            lambda t: float((nn.conv2d_forward(t, kernels, bias) * weights).sum()), x)),
-        relative_error(grad_k, numeric_gradient(
-            lambda t: float((nn.conv2d_forward(x, t, bias) * weights).sum()), kernels)),
-        relative_error(grad_b, numeric_gradient(
-            lambda t: float((nn.conv2d_forward(x, kernels, t) * weights).sum()), bias)),
-    )
-    return CheckResult("conv2d_backward", err, TOL)
+    return _check("conv2d_backward", _weighted_sum(nn.conv2d_forward, weights),
+                  (x, kernels, bias), nn.conv2d_backward(x, kernels, weights))
 
 
 def check_dense_backward(rng) -> CheckResult:
@@ -134,24 +118,15 @@ def check_dense_backward(rng) -> CheckResult:
     w = rng.uniform(-1.0, 1.0, size=(6, 3))
     b = rng.uniform(-1.0, 1.0, size=3)
     weights = rng.uniform(-1.0, 1.0, size=(4, 3))
-    grad_x, grad_w, grad_b = nn.dense_backward(x, w, weights)
-    err = max(
-        relative_error(grad_x, numeric_gradient(
-            lambda t: float((nn.dense_forward(t, w, b) * weights).sum()), x)),
-        relative_error(grad_w, numeric_gradient(
-            lambda t: float((nn.dense_forward(x, t, b) * weights).sum()), w)),
-        relative_error(grad_b, numeric_gradient(
-            lambda t: float((nn.dense_forward(x, w, t) * weights).sum()), b)),
-    )
-    return CheckResult("dense_backward", err, TOL)
+    return _check("dense_backward", _weighted_sum(nn.dense_forward, weights),
+                  (x, w, b), nn.dense_backward(x, w, weights))
 
 
 def check_softmax_cross_entropy(rng) -> CheckResult:
     logits = rng.uniform(-2.0, 2.0, size=(5, 10))
     labels = rng.integers(0, 10, size=5)
-    _, grad = nn.softmax_cross_entropy(logits, labels)
-    numeric = numeric_gradient(lambda t: nn.softmax_cross_entropy(t, labels)[0], logits)
-    return CheckResult("softmax_cross_entropy", relative_error(grad, numeric), TOL)
+    return _check("softmax_cross_entropy", lambda t: nn.softmax_cross_entropy(t, labels)[0],
+                  (logits,), (nn.softmax_cross_entropy(logits, labels)[1],))
 
 
 def toy_model_spec(variant: str = "nirmal") -> nn.ModelSpec:
@@ -164,21 +139,15 @@ def check_model_end_to_end(rng, spec: nn.ModelSpec) -> CheckResult:
     params = nn.init_params(spec, shape, seed=int(rng.integers(1 << 31)))
     batch = rng.uniform(0.0, 1.0, size=tuple(shape))
     labels = rng.integers(0, spec.dense_units[-1], size=shape.batch)
-
     logits, cache = nn.model_forward(spec, params, batch)
-    _, grad_logits = nn.softmax_cross_entropy(logits, labels)
-    grads = nn.model_backward(spec, params, cache, grad_logits)
+    grads = nn.model_backward(spec, params, cache, nn.softmax_cross_entropy(logits, labels)[1])
 
-    err = 0.0
-    for key in params:
-        def objective(t, key=key):
-            trial = dict(params)
-            trial[key] = t
-            out, _ = nn.model_forward(spec, trial, batch)
-            return nn.softmax_cross_entropy(out, labels)[0]
+    def loss(*values):
+        out, _ = nn.model_forward(spec, dict(zip(params, values)), batch)
+        return nn.softmax_cross_entropy(out, labels)[0]
 
-        err = max(err, relative_error(grads[key], numeric_gradient(objective, params[key])))
-    return CheckResult(f"model_end_to_end[{spec.pooling_variant}]", err, TOL)
+    return _check(f"model_end_to_end[{spec.pooling_variant}]", loss,
+                  tuple(params.values()), [grads[key] for key in params])
 
 
 def run_all(seed: int = 0) -> list[CheckResult]:

@@ -110,6 +110,8 @@ def load_dataset_pair(config: RunConfig) -> tuple[datasets.Dataset, datasets.Dat
     if config.dataset == "synthetic":
         return (datasets.synthetic_two_class(512, seed=config.seed, name="synthetic"),
                 datasets.synthetic_two_class(128, seed=config.seed + 1, name="synthetic"))
+    if config.dataset not in (*MNIST_FILES, "cifar10"):
+        raise ValueError(f"unknown dataset {config.dataset!r}")
     root = _data_root(config)
     if config.dataset in MNIST_FILES:
         sub = root / config.dataset
@@ -122,18 +124,16 @@ def load_dataset_pair(config: RunConfig) -> tuple[datasets.Dataset, datasets.Dat
                 f"place the four IDX files under {sub}")
         return (datasets.load_mnist(paths[0], paths[1], config.dataset),
                 datasets.load_mnist(paths[2], paths[3], config.dataset))
-    if config.dataset == "cifar10":
-        sub = root / "cifar10"
-        train_paths = [sub / n for n in CIFAR_TRAIN_FILES]
-        test_paths = [sub / n for n in CIFAR_TEST_FILES]
-        missing = [p for p in train_paths + test_paths if not p.exists()]
-        if missing:
-            raise DataPathError(
-                f"missing cifar10 files: {[str(p) for p in missing]}; "
-                f"place the binary batches under {sub}")
-        return (datasets.load_cifar10(train_paths, "cifar10"),
-                datasets.load_cifar10(test_paths, "cifar10"))
-    raise ValueError(f"unknown dataset {config.dataset!r}")
+    sub = root / "cifar10"
+    train_paths = [sub / n for n in CIFAR_TRAIN_FILES]
+    test_paths = [sub / n for n in CIFAR_TEST_FILES]
+    missing = [p for p in train_paths + test_paths if not p.exists()]
+    if missing:
+        raise DataPathError(
+            f"missing cifar10 files: {[str(p) for p in missing]}; "
+            f"place the binary batches under {sub}")
+    return (datasets.load_cifar10(train_paths, "cifar10"),
+            datasets.load_cifar10(test_paths, "cifar10"))
 
 
 def build_model_spec(config: RunConfig, input_hw: tuple[int, int]) -> nn.ModelSpec:
@@ -165,6 +165,8 @@ def evaluate(spec: nn.ModelSpec, params: dict, dataset: datasets.Dataset,
 def train(config: RunConfig, verbose: bool = False) -> RunReport:
     """Train per the configured protocol and evaluate on the test set."""
     start_time = time.time()
+    if config.epochs < 0:
+        raise ValueError(f"epochs must be >= 0, got {config.epochs}")
     train_full, test_set = load_dataset_pair(config)
     if config.train_limit is not None:
         train_full = train_full.subset(np.arange(min(config.train_limit, len(train_full))))

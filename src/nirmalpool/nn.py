@@ -28,6 +28,9 @@ from .tensor import Shape4, elementwise_relu
 # (Goto & van de Geijn, 2008) and no full-batch im2col matrix is built.
 BLOCK_BYTES = 1 << 20
 
+# Side of every convolution's square kernel.
+KERNEL_SIZE = 3
+
 
 def _windows(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     """(B, OH, OW, kh, kw, Cin) view of every kh x kw window; one image's
@@ -141,7 +144,6 @@ class ModelSpec:
     # for nirmal and after_conv for max2x2.
     activation_placement: str | None = None
     conv_filters: tuple[int, ...] = (32, 64)
-    kernel_size: int = 3
     # Every dense layer but the last is followed by a ReLU; the last gives the logits.
     dense_units: tuple[int, ...] = (128, 10)
     # Per-stage (target_h, target_w); None means exact halving of the
@@ -181,7 +183,7 @@ def init_params(spec: ModelSpec, input_shape: Shape4, seed: int) -> dict[str, np
     Layer sizes come from running the conv and pooling stages on an empty
     batch, so they are the shapes model_forward produces."""
     rng = np.random.default_rng(seed)
-    k = spec.kernel_size
+    k = KERNEL_SIZE
     x = np.empty((0, *Shape4(*input_shape)[1:]))
     params: dict[str, np.ndarray] = {}
     for idx, filters in enumerate(spec.conv_filters, start=1):

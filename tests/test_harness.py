@@ -241,6 +241,43 @@ def test_cli_empty_test_set_exit_code(monkeypatch, tmp_path, test_limit):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_unknown_dataset_exit_code_without_data_root(monkeypatch, tmp_path, capsys):
+    """A dataset typo is a config error, not a missing data root, whether it
+    comes from the config file or from --dataset."""
+    monkeypatch.delenv(harness.DATA_ROOT_ENV, raising=False)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("dataset=mnist_digit\n")
+    out = tmp_path / "out"
+    assert cli.main(["train", "--config", str(cfg), "--output-dir", str(out)]) == cli.EXIT_CONFIG
+    assert "unknown dataset 'mnist_digit'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc_info:
+        cli.main(["train", "--dataset", "mnist_digit", "--output-dir", str(out)])
+    assert exc_info.value.code == cli.EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("epochs, expected", [(-2, cli.EXIT_CONFIG), (0, cli.EXIT_OK)])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_cli_negative_epochs_exit_code(monkeypatch, tmp_path, source, epochs, expected):
+    """Negative epochs are rejected before any data is read; zero epochs
+    evaluate the initial model."""
+    reads = []
+    load = harness.load_dataset_pair
+
+    def counted_load(config):
+        reads.append(config.dataset)
+        return load(config)
+
+    monkeypatch.setattr(harness, "load_dataset_pair", counted_load)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"dataset = synthetic\nepochs = {epochs}\n")
+    args = (["--config", str(cfg)] if source == "config"
+            else ["--dataset", "synthetic", "--epochs", str(epochs)])
+    out = tmp_path / "out"
+    assert cli.main(["train", *args, "--output-dir", str(out)]) == expected
+    assert out.exists() == bool(reads) == (expected == cli.EXIT_OK)
+
+
 def test_cli_missing_data_exit_code(monkeypatch, capsys):
     monkeypatch.delenv(harness.DATA_ROOT_ENV, raising=False)
     code = cli.main(["train", "--dataset", "mnist_digits"])
