@@ -134,8 +134,8 @@ def toy_model_spec(variant: str = "nirmal") -> nn.ModelSpec:
                         pool_targets=(None,))
 
 
-def check_model_end_to_end(rng, spec: nn.ModelSpec) -> CheckResult:
-    shape = Shape4(2, 8, 8, 1)
+def check_model_end_to_end(rng, spec: nn.ModelSpec,
+                           shape: Shape4 = Shape4(2, 8, 8, 1)) -> CheckResult:
     params = nn.init_params(spec, shape, seed=int(rng.integers(1 << 31)))
     batch = rng.uniform(0.0, 1.0, size=tuple(shape))
     labels = rng.integers(0, spec.dense_units[-1], size=shape.batch)

@@ -167,6 +167,7 @@ def train(config: RunConfig, verbose: bool = False) -> RunReport:
     start_time = time.time()
     if config.epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {config.epochs}")
+    optim.check_settings(config.lr, config.beta1, config.beta2, config.epsilon)
     train_full, test_set = load_dataset_pair(config)
     if config.train_limit is not None:
         train_full = train_full.subset(np.arange(min(config.train_limit, len(train_full))))

@@ -11,9 +11,15 @@ commutes with max, relu(max(x)) = max(relu(x)), so `after_conv` is computed
 as a ReLU fused after the pool, on the pooled map only: the adaptive variant
 gives the same network under either placement, and the 2x2 baseline is
 unfused only under `pool_only`.
+
+A pool places windows only where they fit whole, so the trailing rows and
+columns of a conv output that no window reaches are never computed: each
+convolution runs on the part of its input that yields the pool's footprint,
+and the input gradient of the rest is zero.
 """
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,9 +29,10 @@ from . import pooling
 from .tensor import Shape4, elementwise_relu
 
 
-# Upper bound, in bytes, on the im2col matrix of one block of whole images:
-# half of a 2 MiB per-core L2 cache, so a block's GEMM operands stay in cache
-# (Goto & van de Geijn, 2008) and no full-batch im2col matrix is built.
+# Upper bound, in bytes, on the im2col matrix of one block of whole images,
+# not counting its column of ones: half of a 2 MiB per-core L2 cache, so a
+# block's GEMM operands stay in cache (Goto & van de Geijn, 2008) and no
+# full-batch im2col matrix is built.
 BLOCK_BYTES = 1 << 20
 
 # Side of every convolution's square kernel.
@@ -48,12 +55,30 @@ def _blocks(windows: np.ndarray) -> list[slice]:
     return [slice(lo, min(lo + step, b)) for lo in range(0, b, step)]
 
 
+def _im2col(windows: np.ndarray):
+    """Yield (block, cols) per block of images: cols is the block's im2col
+    matrix with a last column of ones, so one GEMM with [W; bias] adds the
+    bias, and cols^T @ grad_out yields grad_bias as its last row. All blocks
+    are copied into one reused buffer."""
+    oh, ow, k = windows.shape[1], windows.shape[2], math.prod(windows.shape[3:])
+    blocks = _blocks(windows)
+    rows = (blocks[0].stop - blocks[0].start) * oh * ow if blocks else 0
+    buf = np.empty((rows, k + 1), windows.dtype)
+    buf[:, k] = 1.0
+    for blk in blocks:
+        block = windows[blk]
+        cols = buf[:block.shape[0] * oh * ow]
+        # Splitting contiguous axes only, so this reshape is a view into buf.
+        cols.reshape(*block.shape[:3], k + 1)[..., :k].reshape(block.shape)[...] = block
+        yield blk, cols
+
+
 def conv2d_forward(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Valid (no-pad) stride-1 cross-correlation.
 
     x: (B, H, W, Cin), kernels: (kh, kw, Cin, Cout), bias: (Cout,).
-    Output: (B, H-kh+1, W-kw+1, Cout). One im2col GEMM per block of images,
-    written into the output; the bias is added once at the end.
+    Output: (B, H-kh+1, W-kw+1, Cout). One im2col GEMM with [W; bias] per
+    block of images, written into the output.
     """
     kh, kw, c_in, c_out = kernels.shape
     if x.shape[3] != c_in:
@@ -61,11 +86,10 @@ def conv2d_forward(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.n
     if x.shape[1] < kh or x.shape[2] < kw:
         raise ValueError(f"spatial dims {x.shape[1:3]} smaller than kernel ({kh},{kw})")
     windows = _windows(x, kh, kw)
-    w = kernels.reshape(kh * kw * c_in, c_out)
+    w = np.vstack([kernels.reshape(kh * kw * c_in, c_out), bias])
     out = np.empty((*windows.shape[:3], c_out), np.result_type(x, kernels, bias))
-    for blk in _blocks(windows):
-        np.matmul(windows[blk].reshape(-1, w.shape[0]), w, out=out[blk].reshape(-1, c_out))
-    out += bias
+    for blk, cols in _im2col(windows):
+        np.matmul(cols, w, out=out[blk].reshape(-1, c_out))
     return out
 
 
@@ -73,11 +97,11 @@ def conv2d_backward(x: np.ndarray, kernels: np.ndarray, grad_out: np.ndarray,
                     need_grad_x: bool = True) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Gradients of conv2d_forward w.r.t. input, kernels and bias.
 
-    Both are GEMMs on the im2col layout, over the same blocks of images as
-    the forward: grad_kernels sums cols^T @ grad_out block by block, and
-    grad_x is col2im, one GEMM per kernel offset added into the shifted input
-    slice. With need_grad_x=False the input gradient is skipped and returned
-    as None.
+    All are GEMMs on the im2col layout, over the same blocks of images as
+    the forward: cols^T @ grad_out, summed block by block, holds grad_kernels
+    and, from the ones column, grad_bias; grad_x is col2im, one GEMM per
+    kernel offset added into the shifted input slice. With need_grad_x=False
+    the input gradient is skipped and returned as None.
     """
     kh, kw, c_in, c_out = kernels.shape
     oh, ow = grad_out.shape[1:3]
@@ -85,13 +109,12 @@ def conv2d_backward(x: np.ndarray, kernels: np.ndarray, grad_out: np.ndarray,
         raise ValueError(f"grad_out shape {grad_out.shape} incompatible with "
                          f"input {x.shape} and kernel {kernels.shape}")
 
-    grad_bias = grad_out.sum(axis=(0, 1, 2))
-    windows = _windows(x, kh, kw)
-    grad_kernels = np.zeros((kh * kw * c_in, c_out))
+    k = kh * kw * c_in
+    grad_wb = np.zeros((k + 1, c_out))
     grad_x = np.zeros(x.shape) if need_grad_x else None
-    for blk in _blocks(windows):
+    for blk, cols in _im2col(_windows(x, kh, kw)):
         g = grad_out[blk].reshape(-1, c_out)
-        grad_kernels += windows[blk].reshape(-1, grad_kernels.shape[0]).T @ g
+        grad_wb += cols.T @ g
         if need_grad_x:
             # col2im, one window offset at a time: the input pixel at offset
             # (i, j) of every window receives grad_out @ kernels[i, j]^T.
@@ -99,7 +122,7 @@ def conv2d_backward(x: np.ndarray, kernels: np.ndarray, grad_out: np.ndarray,
             for i in range(kh):
                 for j in range(kw):
                     gx[:, i:i + oh, j:j + ow] += (g @ kernels[i, j].T).reshape(-1, oh, ow, c_in)
-    return grad_x, grad_kernels.reshape(kh, kw, c_in, c_out), grad_bias
+    return grad_x, grad_wb[:k].reshape(kh, kw, c_in, c_out), grad_wb[k]
 
 
 def dense_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -165,23 +188,45 @@ class ModelSpec:
                              f"{len(self.conv_filters)} conv stages")
 
 
-def _pool(spec: ModelSpec, stage: int, x: np.ndarray) -> tuple[np.ndarray, pooling.PoolCache]:
-    """Pooling stage `stage` (0-based), the one place the two variants differ:
-    the fixed 2x2 pool, fused with a ReLU under after_conv, or the adaptive
-    fused pool toward the stage's target, where a missing or None target
-    halves the incoming map."""
+_Pool = Callable[[np.ndarray], tuple[np.ndarray, pooling.PoolCache]]
+
+
+def _pool(spec: ModelSpec, stage: int, h: int, w: int) -> tuple[tuple[int, int], _Pool]:
+    """Pooling stage `stage` (0-based) of an h x w conv output, the one place
+    the two variants differ. Returns the (rows, cols) its windows read and
+    the pool to run on them: the fixed 2x2 pool, fused with a ReLU under
+    after_conv, or the adaptive fused pool toward the stage's target, where a
+    missing or None target halves the map. On its footprint either pool
+    places the same windows as on the whole map."""
     if spec.pooling_variant == "max2x2":
-        return pooling.max_pool2x2_forward(x, relu=spec.activation_placement == "after_conv")
+        relu = spec.activation_placement == "after_conv"
+        return (pooling.max_pool2x2_params(h, w).footprint,
+                lambda x: pooling.max_pool2x2_forward(x, relu=relu))
     target = spec.pool_targets[stage] if stage < len(spec.pool_targets) else None
-    th, tw = target or (max(1, x.shape[1] // 2), max(1, x.shape[2] // 2))
-    return pooling.nirmal_forward(x, th, tw)
+    th, tw = target or (max(1, h // 2), max(1, w // 2))
+    return (pooling.compute_pool_params(h, w, th, tw).footprint,
+            lambda x: pooling.nirmal_forward(x, th, tw))
+
+
+def _crop(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """The top-left rows x cols pixels of x: x itself when that is all of it."""
+    return x if x.shape[1:3] == (rows, cols) else x[:, :rows, :cols]
+
+
+def _stage(spec: ModelSpec, stage: int, x: np.ndarray, kernels: np.ndarray,
+           bias: np.ndarray) -> tuple[np.ndarray, pooling.PoolCache]:
+    """Conv stage `stage`: the convolution of the part of x that yields its
+    pool's footprint, then the pool."""
+    kh, kw = kernels.shape[:2]
+    (rows, cols), pool = _pool(spec, stage, x.shape[1] - kh + 1, x.shape[2] - kw + 1)
+    return pool(conv2d_forward(_crop(x, rows + kh - 1, cols + kw - 1), kernels, bias))
 
 
 def init_params(spec: ModelSpec, input_shape: Shape4, seed: int) -> dict[str, np.ndarray]:
     """Kaiming-style normal init (std = sqrt(2 / fan_in)), zero biases.
 
-    Layer sizes come from running the conv and pooling stages on an empty
-    batch, so they are the shapes model_forward produces."""
+    Layer sizes come from running the conv stages on an empty batch, so they
+    are the shapes model_forward produces."""
     rng = np.random.default_rng(seed)
     k = KERNEL_SIZE
     x = np.empty((0, *Shape4(*input_shape)[1:]))
@@ -190,8 +235,7 @@ def init_params(spec: ModelSpec, input_shape: Shape4, seed: int) -> dict[str, np
         c = x.shape[3]
         params[f"conv{idx}_w"] = rng.normal(0.0, np.sqrt(2.0 / (k * k * c)), (k, k, c, filters))
         params[f"conv{idx}_b"] = np.zeros(filters)
-        x = conv2d_forward(x, params[f"conv{idx}_w"], params[f"conv{idx}_b"])
-        x, _ = _pool(spec, idx - 1, x)
+        x, _ = _stage(spec, idx - 1, x, params[f"conv{idx}_w"], params[f"conv{idx}_b"])
     features = math.prod(x.shape[1:])
     for idx, units in enumerate(spec.dense_units, start=1):
         params[f"dense{idx}_w"] = rng.normal(0.0, np.sqrt(2.0 / features), (features, units))
@@ -202,6 +246,7 @@ def init_params(spec: ModelSpec, input_shape: Shape4, seed: int) -> dict[str, np
 
 @dataclass
 class ForwardCache:
+    # Each conv stage's whole input, also where the conv read only part of it.
     conv_inputs: list[np.ndarray] = field(default_factory=list)
     pool_caches: list[pooling.PoolCache] = field(default_factory=list)
     flat_input_shape: tuple[int, ...] | None = None
@@ -215,8 +260,7 @@ def model_forward(spec: ModelSpec, params: dict[str, np.ndarray],
     x = batch
     for idx in range(1, len(spec.conv_filters) + 1):
         cache.conv_inputs.append(x)
-        x = conv2d_forward(x, params[f"conv{idx}_w"], params[f"conv{idx}_b"])
-        x, pc = _pool(spec, idx - 1, x)
+        x, pc = _stage(spec, idx - 1, x, params[f"conv{idx}_w"], params[f"conv{idx}_b"])
         cache.pool_caches.append(pc)
     cache.flat_input_shape = x.shape
     x = x.reshape(x.shape[0], -1)
@@ -244,7 +288,13 @@ def model_backward(spec: ModelSpec, params: dict[str, np.ndarray], cache: Forwar
     g = g.reshape(cache.flat_input_shape)
     for idx in range(len(spec.conv_filters), 0, -1):
         g = pooling.nirmal_backward(g, cache.pool_caches[idx - 1])
-        # Nothing reads the gradient w.r.t. the network input.
+        x, kernels = cache.conv_inputs[idx - 1], params[f"conv{idx}_w"]
+        # The conv read only the part of x that yields the pool's input; the
+        # rest of x gets zero gradient. Nothing reads the gradient w.r.t. the
+        # network input.
+        rows, cols = g.shape[1] + kernels.shape[0] - 1, g.shape[2] + kernels.shape[1] - 1
         g, grads[f"conv{idx}_w"], grads[f"conv{idx}_b"] = conv2d_backward(
-            cache.conv_inputs[idx - 1], params[f"conv{idx}_w"], g, need_grad_x=idx > 1)
+            _crop(x, rows, cols), kernels, g, need_grad_x=idx > 1)
+        if g is not None and g.shape != x.shape:
+            g = np.pad(g, ((0, 0), (0, x.shape[1] - rows), (0, x.shape[2] - cols), (0, 0)))
     return grads

@@ -1,5 +1,6 @@
 """Adam optimizer over named parameter dictionaries."""
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,8 +17,21 @@ class AdamState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
 
+def check_settings(lr: float, beta1: float, beta2: float, epsilon: float) -> None:
+    """Raise ValueError unless lr and epsilon are finite and positive and both
+    betas lie in [0, 1). A beta of 1 makes the bias correction 0/0, and a zero
+    epsilon divides 0 by 0 wherever every gradient so far was zero."""
+    for name, value in (("lr", lr), ("epsilon", epsilon)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
+    for name, value in (("beta1", beta1), ("beta2", beta2)):
+        if not 0.0 <= value < 1.0:
+            raise ValueError(f"{name} must lie in [0, 1), got {value}")
+
+
 def init_adam(params: dict[str, np.ndarray], lr: float = 0.001, beta1: float = 0.9,
               beta2: float = 0.999, epsilon: float = 1e-7) -> AdamState:
+    check_settings(lr, beta1, beta2, epsilon)
     return AdamState(lr=lr, beta1=beta1, beta2=beta2, epsilon=epsilon, step=0,
                      m={k: np.zeros_like(p) for k, p in params.items()},
                      v={k: np.zeros_like(p) for k, p in params.items()})

@@ -8,11 +8,12 @@ size:
     out = floor((in - P) / S) + 1
 
 Windows are placed only where they fully fit (no padding); trailing rows and
-columns not covered by any window are dropped. The fused variant applies ReLU
-to the pooled maxima; the fixed 2x2 pool does so on request. One backward
-pass serves every pool: it routes each output gradient to the coordinate
-that supplied the window maximum (first occurrence in row-major order on
-ties), gated by the ReLU mask when the cache carries one.
+columns outside the windows' footprint, (out - 1) * S + P, are never read,
+and `nn` does not compute them. The fused variant applies ReLU to the pooled
+maxima; the fixed 2x2 pool does so on request. One backward pass serves
+every pool: it routes each output gradient to the coordinate that supplied
+the window maximum (first occurrence in row-major order on ties), gated by
+the ReLU mask when the cache carries one.
 """
 
 import math
@@ -31,6 +32,13 @@ class PoolParams:
     stride_w: int
     out_h: int
     out_w: int
+
+    @property
+    def footprint(self) -> tuple[int, int]:
+        """Rows and columns the windows span, (out - 1) * stride + window;
+        no window reads the rest of the map."""
+        return ((self.out_h - 1) * self.stride_h + self.window_h,
+                (self.out_w - 1) * self.stride_w + self.window_w)
 
 
 @dataclass
@@ -88,7 +96,7 @@ def max_pool_forward(x: np.ndarray, params: PoolParams) -> tuple[np.ndarray, Poo
     p = params
     if p.window_h > h or p.window_w > w:
         raise ValueError(f"window ({p.window_h},{p.window_w}) does not fit input ({h},{w})")
-    if (p.out_h - 1) * p.stride_h + p.window_h > h or (p.out_w - 1) * p.stride_w + p.window_w > w:
+    if p.footprint[0] > h or p.footprint[1] > w:
         raise ValueError("pool params incompatible with input dims")
 
     rows, cols = p.out_h * p.stride_h, p.out_w * p.stride_w
@@ -150,11 +158,14 @@ def nirmal_backward(grad_out: np.ndarray, cache: PoolCache) -> np.ndarray:
     return grad_in.reshape(cache.input_shape)
 
 
+def max_pool2x2_params(h: int, w: int) -> PoolParams:
+    """The fixed 2x2 window and stride on an h x w map."""
+    return PoolParams(2, 2, 2, 2, output_shape(h, 2, 2), output_shape(w, 2, 2))
+
+
 def max_pool2x2_forward(x: np.ndarray, relu: bool = False) -> tuple[np.ndarray, PoolCache]:
     """Standard max pooling with fixed 2x2 window and stride; with relu=True
     a ReLU is fused after it, as in nirmal_forward."""
-    _, h, w, _ = x.shape
-    params = PoolParams(2, 2, 2, 2, output_shape(h, 2, 2), output_shape(w, 2, 2))
-    result = max_pool_forward(x, params)
+    result = max_pool_forward(x, max_pool2x2_params(*x.shape[1:3]))
     return _fuse_relu(*result) if relu else result
 

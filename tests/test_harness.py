@@ -278,6 +278,21 @@ def test_cli_negative_epochs_exit_code(monkeypatch, tmp_path, source, epochs, ex
     assert out.exists() == bool(reads) == (expected == cli.EXIT_OK)
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--lr", "-1"), ("--lr", "nan"), ("--beta1", "1.0"), ("--beta2", "1.0"), ("--epsilon", "0"),
+])
+def test_cli_bad_adam_setting_exit_code(monkeypatch, tmp_path, flag, value):
+    """An Adam setting that would ascend or divide 0 by 0 is a config error,
+    raised before any data is read."""
+    reads = []
+    monkeypatch.setattr(harness, "load_dataset_pair", lambda config: reads.append(config))
+    out = tmp_path / "out"
+    args = ["train", "--dataset", "synthetic", "--epochs", "1", flag, value,
+            "--output-dir", str(out)]
+    assert cli.main(args) == cli.EXIT_CONFIG
+    assert not reads and not out.exists()
+
+
 def test_cli_missing_data_exit_code(monkeypatch, capsys):
     monkeypatch.delenv(harness.DATA_ROOT_ENV, raising=False)
     code = cli.main(["train", "--dataset", "mnist_digits"])

@@ -162,6 +162,19 @@ def test_blocked_conv_forward_is_the_unblocked_gemm():
     assert out.tobytes() == expected.tobytes()
 
 
+def test_grad_bias_is_the_sum_of_grad_out_over_blocks():
+    """grad_bias comes from the im2col matrix's ones column, summed over
+    several blocks at mnist_train's conv2 shape."""
+    rng = np.random.default_rng(19)
+    x = rng.normal(size=(64, 13, 13, 32))
+    kernels = rng.normal(size=(3, 3, 32, 64))
+    grad_out = rng.normal(size=(64, 11, 11, 64))
+    assert 1 < nn.BLOCK_BYTES // _im2col_bytes_per_image(x, kernels) < 64
+    _, _, gb = nn.conv2d_backward(x, kernels, grad_out, need_grad_x=False)
+    expected = grad_out.sum(axis=(0, 1, 2))
+    assert np.abs(gb - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
 def test_conv_empty_batch():
     kernels = np.ones((3, 3, 2, 4))
     x = np.empty((0, 7, 6, 2))
@@ -256,10 +269,26 @@ def test_zero_weight_model_gives_uniform_logits():
     assert loss == pytest.approx(np.log(10), rel=1e-12)
 
 
-@pytest.mark.parametrize("variant", ["nirmal", "max2x2"])
-def test_model_end_to_end_finite_differences(variant):
-    result = gradcheck.check_model_end_to_end(np.random.default_rng(11),
-                                              gradcheck.toy_model_spec(variant))
+# Each trimming spec crops its second conv, so the zero-padded input gradient
+# of a cropped conv feeds the first pool's backward: the 3x3/s2 windows on
+# 8 read 7 rows and columns, and the 2x2 pool on 5 reads 4.
+TRIMMING = {
+    "nirmal_trimming": (nn.ModelSpec(conv_filters=(2, 2), dense_units=(8, 2),
+                                     pool_targets=((10, 10), (3, 3))), Shape4(2, 12, 12, 1)),
+    "max2x2_trimming": (nn.ModelSpec(pooling_variant="max2x2", conv_filters=(2, 2),
+                                     dense_units=(8, 2)), Shape4(2, 16, 16, 1)),
+}
+
+
+@pytest.mark.parametrize("case", ["nirmal", "max2x2", *TRIMMING])
+def test_model_end_to_end_finite_differences(case):
+    if case in TRIMMING:
+        spec, shape = TRIMMING[case]
+        _, cache = nn.model_forward(spec, nn.init_params(spec, shape, seed=0), np.zeros(shape))
+        assert cache.pool_caches[1].input_shape[1] < cache.conv_inputs[1].shape[1] - 2
+    else:
+        spec, shape = gradcheck.toy_model_spec(case), Shape4(2, 8, 8, 1)
+    result = gradcheck.check_model_end_to_end(np.random.default_rng(11), spec, shape)
     assert result.max_rel_error < 1e-5
 
 
@@ -380,8 +409,91 @@ def test_mnist_architecture_shape_trace(variant):
     pool_in = [tuple(pc.input_shape)[1:] for pc in cache.pool_caches]
     trace = [conv_in[0], pool_in[0], conv_in[1], pool_in[1], cache.flat_input_shape[1:],
              *(a.shape[1:] for a in cache.dense_inputs), logits.shape[1:]]
+    # The 2x2 pool reads 10 of conv2's 11 rows and columns, so only those
+    # are computed; nirmal's 3x3/s2 windows on 11 read all of them.
+    conv2_out = (10, 10, 64) if variant == "max2x2" else (11, 11, 64)
     assert trace == [(28, 28, 1), (26, 26, 32), (13, 13, 32),
-                     (11, 11, 64), (5, 5, 64), (1600,), (128,), (10,)]
+                     conv2_out, (5, 5, 64), (1600,), (128,), (10,)]
+
+
+def _run_model(monkeypatch, spec, params, batch, labels):
+    """Logits, cache and gradients of one step, with the gradient that
+    reached each pool's backward, last stage first."""
+    pool_grads = []
+    backward = pooling.nirmal_backward
+
+    def spy(grad_out, cache):
+        pool_grads.append(grad_out)
+        return backward(grad_out, cache)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(pooling, "nirmal_backward", spy)
+        logits, cache = nn.model_forward(spec, params, batch)
+        _, grad_logits = nn.softmax_cross_entropy(logits, labels)
+        grads = nn.model_backward(spec, params, cache, grad_logits)
+    return logits, cache, grads, pool_grads
+
+
+def _assert_close(actual, expected, rtol):
+    assert actual.shape == expected.shape
+    assert np.abs(actual - expected).max() <= rtol * np.abs(expected).max()
+
+
+# Pools that read less than their conv's output: the CIFAR targets read 29 of
+# conv1's 30 rows and columns and 11 of conv2's 12; at MNIST's shape the 2x2
+# pool reads 10 of conv2's 11.
+@pytest.mark.parametrize("spec, shape", [
+    (nn.ModelSpec(activation_placement="after_conv", pool_targets=((14, 14), (5, 5))),
+     (4, 32, 32, 3)),
+    (nn.ModelSpec(pooling_variant="max2x2"), (4, 28, 28, 1)),
+], ids=["cifar_targets", "max2x2_mnist"])
+def test_cropped_convs_are_the_uncropped_network(monkeypatch, spec, shape):
+    rng = np.random.default_rng(18)
+    params = {k: v + 0.1 * rng.standard_normal(v.shape)  # nonzero biases
+              for k, v in nn.init_params(spec, Shape4(*shape), seed=18).items()}
+    batch, labels = rng.normal(size=shape), rng.integers(0, 10, shape[0])
+    logits, cache, grads, pool_grads = _run_model(monkeypatch, spec, params, batch, labels)
+    with monkeypatch.context() as mp:
+        # The reference convolves every stage's whole input; the pool drops
+        # the rows and columns its windows miss.
+        mp.setattr(nn, "_crop", lambda x, rows, cols: x)
+        ref_logits, ref_cache, ref_grads, ref_pool_grads = _run_model(
+            monkeypatch, spec, params, batch, labels)
+
+    assert logits.tobytes() == ref_logits.tobytes()
+    assert cache.conv_inputs[0] is batch
+    for got, want in zip(cache.conv_inputs, ref_cache.conv_inputs):
+        assert got.tobytes() == want.tobytes()
+    for got, want in zip(cache.pool_caches, ref_cache.pool_caches):
+        assert got.params == want.params
+    for key in ref_grads:
+        _assert_close(grads[key], ref_grads[key], 1e-12)
+
+    # The gradient w.r.t. conv2's input is zero outside the part conv2 read.
+    grad_x, ref_grad_x = pool_grads[1], ref_pool_grads[1]
+    rows, cols = (n + 2 for n in cache.pool_caches[1].input_shape[1:3])
+    assert rows < grad_x.shape[1] and cols < grad_x.shape[2]
+    assert not grad_x[:, rows:].any() and not grad_x[:, :, cols:].any()
+    _assert_close(grad_x, ref_grad_x, 1e-12)
+
+
+def test_uncropped_conv_reads_its_input_itself(monkeypatch):
+    """Where the pool reads the whole conv output, the conv gets the stage's
+    input array itself, not a view of it."""
+    spec = nn.ModelSpec()
+    params = nn.init_params(spec, Shape4(1, 28, 28, 1), seed=0)
+    batch = np.random.default_rng(20).uniform(size=(2, 28, 28, 1))
+    inputs = []
+    forward = nn.conv2d_forward
+
+    def spy(x, kernels, bias):
+        inputs.append(x)
+        return forward(x, kernels, bias)
+
+    monkeypatch.setattr(nn, "conv2d_forward", spy)
+    _, cache = nn.model_forward(spec, params, batch)
+    assert len(inputs) == 2
+    assert all(x is stage_input for x, stage_input in zip(inputs, cache.conv_inputs))
 
 
 @st.composite

@@ -97,3 +97,13 @@ def test_in_place_step_bitwise_equals_reference():
             for a, b in ((ours[k], ref[k]), (state.m[k], ref_state.m[k]),
                          (state.v[k], ref_state.v[k])):
                 assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("setting", [
+    {"lr": -1.0}, {"lr": 0.0}, {"lr": float("nan")}, {"lr": float("inf")},
+    {"beta1": 1.0}, {"beta1": -0.1}, {"beta2": 1.0}, {"beta2": float("nan")},
+    {"epsilon": 0.0}, {"epsilon": -1e-7},
+])
+def test_init_adam_rejects_bad_settings(setting):
+    with pytest.raises(ValueError, match=next(iter(setting))):
+        optim.init_adam(make_params(), **setting)

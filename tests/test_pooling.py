@@ -199,6 +199,22 @@ def test_shape_law_subset():
         assert p.out_h == oracles.placement_count(h_in, p.window_h, p.stride_h)
 
 
+def test_property_pool_params_are_the_same_on_their_footprint():
+    """Every extent h <= 299 and target t <= h + 1: the adaptive pool on the
+    first (out - 1) * S + P rows places the same windows as on all h rows,
+    and so does the fixed 2x2 pool, so a conv may compute only those rows."""
+    for h in range(1, 300):
+        for t in range(1, h + 2):
+            p = pooling.compute_pool_params(h, 7, t, 3)
+            footprint = p.footprint
+            assert footprint[0] <= h and footprint[1] <= 7
+            assert pooling.compute_pool_params(*footprint, t, 3) == p
+        if h >= 2:
+            p = pooling.max_pool2x2_params(h, 5)
+            assert p.footprint == (h - h % 2, 4)
+            assert pooling.max_pool2x2_params(*p.footprint) == p
+
+
 def test_target_larger_than_input():
     x = np.random.default_rng(8).uniform(-1, 1, size=(1, 4, 4, 1))
     out, _ = pooling.nirmal_forward(x, 8, 8)
