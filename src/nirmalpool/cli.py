@@ -97,8 +97,10 @@ def build_config(args: argparse.Namespace) -> harness.RunConfig:
             values[name] = flag
     config = harness.RunConfig(**values)
     if getattr(args, "desk_scale", False):
-        config.train_limit = config.train_limit or 10000
-        config.test_limit = config.test_limit or 2000
+        if config.train_limit is None:
+            config.train_limit = 10000
+        if config.test_limit is None:
+            config.test_limit = 2000
         config.epochs = min(config.epochs, 3)
     return config
 

@@ -167,6 +167,10 @@ def train(config: RunConfig, verbose: bool = False) -> RunReport:
     start_time = time.time()
     if config.epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {config.epochs}")
+    for key in ("train_limit", "test_limit"):
+        limit = getattr(config, key)
+        if limit is not None and limit < 1:
+            raise ValueError(f"{key} must be >= 1 or unset, got {limit}")
     optim.check_settings(config.lr, config.beta1, config.beta2, config.epsilon)
     train_full, test_set = load_dataset_pair(config)
     if config.train_limit is not None:
@@ -174,7 +178,7 @@ def train(config: RunConfig, verbose: bool = False) -> RunReport:
     if config.test_limit is not None:
         test_set = test_set.subset(np.arange(min(config.test_limit, len(test_set))))
     if not len(test_set):
-        raise ValueError("the test set is empty; check test_limit and the test files")
+        raise ValueError("the test set is empty; check the test files")
 
     split = datasets.split_train_val(train_full, config.val_fraction, config.seed)
     h, w, c = train_full.images.shape[1:]

@@ -97,22 +97,26 @@ def conv2d_backward(x: np.ndarray, kernels: np.ndarray, grad_out: np.ndarray,
                     need_grad_x: bool = True) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Gradients of conv2d_forward w.r.t. input, kernels and bias.
 
-    All are GEMMs on the im2col layout, over the same blocks of images as
-    the forward: cols^T @ grad_out, summed block by block, holds grad_kernels
-    and, from the ones column, grad_bias; grad_x is col2im, one GEMM per
-    kernel offset added into the shifted input slice. With need_grad_x=False
-    the input gradient is skipped and returned as None.
+    grad_out may cover only the top-left oh x ow part of the valid output, as
+    when a pool reads no further: the gradients are those of the convolution
+    of the part of x that yields it, and grad_x, of x's full shape, is zero
+    outside that part. All are GEMMs on the im2col layout, over the same
+    blocks of images as the forward: cols^T @ grad_out, summed block by
+    block, holds grad_kernels and, from the ones column, grad_bias; grad_x is
+    col2im, one GEMM per kernel offset added into the shifted input slice.
+    With need_grad_x=False the input gradient is skipped and returned as None.
     """
     kh, kw, c_in, c_out = kernels.shape
-    oh, ow = grad_out.shape[1:3]
-    if grad_out.shape != (x.shape[0], x.shape[1] - kh + 1, x.shape[2] - kw + 1, c_out):
+    b, oh, ow, _ = grad_out.shape
+    if (b != x.shape[0] or grad_out.shape[3] != c_out or x.shape[3] != c_in
+            or oh > x.shape[1] - kh + 1 or ow > x.shape[2] - kw + 1):
         raise ValueError(f"grad_out shape {grad_out.shape} incompatible with "
                          f"input {x.shape} and kernel {kernels.shape}")
 
     k = kh * kw * c_in
     grad_wb = np.zeros((k + 1, c_out))
     grad_x = np.zeros(x.shape) if need_grad_x else None
-    for blk, cols in _im2col(_windows(x, kh, kw)):
+    for blk, cols in _im2col(_windows(x, kh, kw)[:, :oh, :ow]):
         g = grad_out[blk].reshape(-1, c_out)
         grad_wb += cols.T @ g
         if need_grad_x:
@@ -288,13 +292,9 @@ def model_backward(spec: ModelSpec, params: dict[str, np.ndarray], cache: Forwar
     g = g.reshape(cache.flat_input_shape)
     for idx in range(len(spec.conv_filters), 0, -1):
         g = pooling.nirmal_backward(g, cache.pool_caches[idx - 1])
-        x, kernels = cache.conv_inputs[idx - 1], params[f"conv{idx}_w"]
-        # The conv read only the part of x that yields the pool's input; the
-        # rest of x gets zero gradient. Nothing reads the gradient w.r.t. the
-        # network input.
-        rows, cols = g.shape[1] + kernels.shape[0] - 1, g.shape[2] + kernels.shape[1] - 1
+        # g covers the pool's input, the part of the conv output that was
+        # computed; conv2d_backward gives the rest of x zero gradient.
+        # Nothing reads the gradient w.r.t. the network input.
         g, grads[f"conv{idx}_w"], grads[f"conv{idx}_b"] = conv2d_backward(
-            _crop(x, rows, cols), kernels, g, need_grad_x=idx > 1)
-        if g is not None and g.shape != x.shape:
-            g = np.pad(g, ((0, 0), (0, x.shape[1] - rows), (0, x.shape[2] - cols), (0, 0)))
+            cache.conv_inputs[idx - 1], params[f"conv{idx}_w"], g, need_grad_x=idx > 1)
     return grads

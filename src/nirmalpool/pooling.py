@@ -13,7 +13,12 @@ and `nn` does not compute them. The fused variant applies ReLU to the pooled
 maxima; the fixed 2x2 pool does so on request. One backward pass serves
 every pool: it routes each output gradient to the coordinate that supplied
 the window maximum (first occurrence in row-major order on ties), gated by
-the ReLU mask when the cache carries one.
+the ReLU mask when the pool is fused.
+
+The forward keeps one byte per output for backward: the winning window
+offset (two bytes past 256 offsets). The flat input coordinate and the ReLU
+mask are derived from it, and from the fused pool's returned output, when
+read. So a caller must not mutate a fused pool's output before backward.
 """
 
 import math
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Shape4, elementwise_relu
+from .tensor import Shape4
 
 
 @dataclass(frozen=True)
@@ -43,18 +48,44 @@ class PoolParams:
 
 @dataclass
 class PoolCache:
-    """Backward-pass bookkeeping for one pooling application.
+    """Backward-pass bookkeeping for one pooling application: one byte per
+    output.
 
-    argmax holds, per output element, the flat (row-major BHWC) int64 input
-    coordinate that supplied the maximum. relu_mask is a bool array, True
-    where the fused activation passed the pooled value (max > 0), or None
-    for an unfused pool.
+    win holds, per output element, the winning window offset dy * P_w + dx,
+    as uint8, or uint16 past 256 offsets. relu_out is the array a fused pool
+    returned, or None for an unfused pool; it is not copied, so the caller
+    must not mutate it before backward. argmax and relu_mask are derived
+    from these on each read.
     """
 
-    argmax: np.ndarray
-    relu_mask: np.ndarray | None
+    win: np.ndarray
     params: PoolParams
     input_shape: Shape4
+    relu_out: np.ndarray | None = None
+
+    @property
+    def argmax(self) -> np.ndarray:
+        """Per output element, the flat (row-major BHWC) int64 input
+        coordinate that supplied the maximum."""
+        p, (b, h, w, c), win = self.params, self.input_shape, self.win
+        # Offset k = dy*P_w + dx lies dy*W + dx = k + dy*(W - P_w) pixels
+        # past the window's top-left pixel. Built in place on one int64 array.
+        argmax = (win // p.window_w).astype(np.int64)
+        argmax *= w - p.window_w
+        argmax += win
+        top_left = ((np.arange(b)[:, None, None] * h + np.arange(p.out_h)[:, None] * p.stride_h)
+                    * w + np.arange(p.out_w) * p.stride_w)
+        argmax += top_left[..., None]
+        argmax *= c
+        argmax += np.arange(c)
+        return argmax
+
+    @property
+    def relu_mask(self) -> np.ndarray | None:
+        """True where the fused ReLU passed the pooled value (max > 0), or
+        None for an unfused pool. The ReLU keeps positive maxima and no
+        others, so its output is > 0 exactly where its input was."""
+        return None if self.relu_out is None else self.relu_out > 0.0
 
 
 def output_shape(h_in: int, p: int, s: int) -> int:
@@ -85,7 +116,7 @@ def compute_pool_params(h_in: int, w_in: int, h_out_target: int, w_out_target: i
 
 
 def max_pool_forward(x: np.ndarray, params: PoolParams) -> tuple[np.ndarray, PoolCache]:
-    """Max over each window; cache records the winning coordinate per output.
+    """Max over each window; the cache records the winning offset per output.
 
     Loops over the P_h*P_w window offsets, not the output windows: offset
     (dy, dx) is one strided view holding that offset's value for every
@@ -106,35 +137,27 @@ def max_pool_forward(x: np.ndarray, params: PoolParams) -> tuple[np.ndarray, Poo
     for v in views[1:]:
         np.maximum(out, v, out=out)
 
-    # Winning offset, scanned last to first so the first match is left:
-    # win - (win - k) == k, exact under unsigned wrap-around. Reused
-    # buffers spare a fresh allocation per offset.
+    # Winning offset, scanned last to first: after offset k, win is the
+    # distance from k to the first offset at or after k that holds the max
+    # (a match at k resets it, a miss adds 1), so at k = 0 it is the first
+    # winner in row-major order. A NaN window matches no offset and is
+    # reset to its first.
     win = np.zeros(out.shape, dtype=np.min_scalar_type(len(offsets) - 1))
-    hit, shift = np.empty(out.shape, dtype=bool), np.empty_like(win)
-    for k in range(len(offsets) - 1, -1, -1):
-        np.equal(views[k], out, out=hit)
-        np.subtract(win, k, out=shift)
-        shift *= hit
-        win -= shift
-
-    # Flat row-major BHWC index. Offset k = dy*P_w + dx lies
-    # dy*W + dx = k + dy*(W - P_w) pixels past the window's top-left pixel.
-    # Built in place on the one int64 array the cache keeps.
-    argmax = (win // p.window_w).astype(np.int64)
-    argmax *= w - p.window_w
-    argmax += win
-    top_left = ((np.arange(b)[:, None, None] * h + np.arange(p.out_h)[:, None] * p.stride_h) * w
-                + np.arange(p.out_w) * p.stride_w)
-    argmax += top_left[..., None]
-    argmax *= c
-    argmax += np.arange(c)
-    cache = PoolCache(argmax=argmax, relu_mask=None, params=p, input_shape=Shape4(b, h, w, c))
-    return out, cache
+    differs = np.empty(out.shape, dtype=bool)
+    for k in range(len(offsets) - 2, -1, -1):
+        np.not_equal(views[k], out, out=differs)
+        win += 1
+        win *= differs
+    win[np.isnan(out)] = 0
+    return out, PoolCache(win=win, params=p, input_shape=Shape4(b, h, w, c))
 
 
 def _fuse_relu(pooled: np.ndarray, cache: PoolCache) -> tuple[np.ndarray, PoolCache]:
-    cache.relu_mask = pooled > 0.0
-    return elementwise_relu(pooled), cache
+    # elementwise_relu, in place on the fresh pooled array: +0.0 turns -0.0 into +0.0.
+    np.maximum(pooled, 0.0, out=pooled)
+    pooled += 0.0
+    cache.relu_out = pooled
+    return pooled, cache
 
 
 def nirmal_forward(x: np.ndarray, h_out_target: int, w_out_target: int) -> tuple[np.ndarray, PoolCache]:
@@ -146,15 +169,17 @@ def nirmal_forward(x: np.ndarray, h_out_target: int, w_out_target: int) -> tuple
 
 def nirmal_backward(grad_out: np.ndarray, cache: PoolCache) -> np.ndarray:
     """Route grad_out to each window's argmax, gated by the ReLU mask when the
-    cache carries one. Serves both the fused operator and the plain max pools."""
-    if grad_out.shape != cache.argmax.shape:
+    pool was fused. Serves both the fused operator and the plain max pools;
+    reads argmax and relu_mask once each."""
+    if grad_out.shape != cache.win.shape:
         raise ValueError(f"grad_out shape {grad_out.shape} does not match "
-                         f"cache output shape {cache.argmax.shape}")
-    if cache.relu_mask is not None:
-        grad_out = grad_out * cache.relu_mask
+                         f"cache output shape {cache.win.shape}")
+    argmax, relu_mask = cache.argmax, cache.relu_mask
+    if relu_mask is not None:
+        grad_out = grad_out * relu_mask
     grad_in = np.zeros(cache.input_shape.element_count(), dtype=np.float64)
     # Overlapping windows (P > S) accumulate additively.
-    np.add.at(grad_in, cache.argmax.ravel(), grad_out.ravel())
+    np.add.at(grad_in, argmax.ravel(), grad_out.ravel())
     return grad_in.reshape(cache.input_shape)
 
 

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import itertools
@@ -241,6 +242,23 @@ def test_cli_empty_test_set_exit_code(monkeypatch, tmp_path, test_limit):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_empty_test_files_exit_code(tmp_path, capsys):
+    """Test files that hold no images are a config error, raised before any
+    output is written."""
+    rng = np.random.default_rng(0)
+    sub = tmp_path / "mnist_digits"
+    sub.mkdir()
+    names = harness.MNIST_FILES["mnist_digits"]
+    for images, labels, count in ((names[0], names[1], 20), (names[2], names[3], 0)):
+        data.write_idx_images(sub / images, rng.integers(0, 256, (count, 28, 28)))
+        data.write_idx_labels(sub / labels, rng.integers(0, 10, count))
+    code = cli.main(["train", "--dataset", "mnist_digits", "--data-root", str(tmp_path),
+                     "--output-dir", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    assert "the test set is empty" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_unknown_dataset_exit_code_without_data_root(monkeypatch, tmp_path, capsys):
     """A dataset typo is a config error, not a missing data root, whether it
     comes from the config file or from --dataset."""
@@ -276,6 +294,21 @@ def test_cli_negative_epochs_exit_code(monkeypatch, tmp_path, source, epochs, ex
     out = tmp_path / "out"
     assert cli.main(["train", *args, "--output-dir", str(out)]) == expected
     assert out.exists() == bool(reads) == (expected == cli.EXIT_OK)
+
+
+@pytest.mark.parametrize("key, value", [("train_limit", -5), ("train_limit", 0),
+                                        ("test_limit", -1), ("test_limit", 0)])
+def test_cli_nonpositive_limit_exit_code(monkeypatch, tmp_path, capsys, key, value):
+    """A train or test limit below 1 is rejected by name before any data is
+    read, not reported as an empty split."""
+    reads = []
+    monkeypatch.setattr(harness, "load_dataset_pair", lambda config: reads.append(config))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"dataset = synthetic\n{key} = {value}\n")
+    out = tmp_path / "out"
+    assert cli.main(["train", "--config", str(cfg), "--output-dir", str(out)]) == cli.EXIT_CONFIG
+    assert f"{key} must be >= 1 or unset, got {value}" in capsys.readouterr().err
+    assert not reads and not out.exists()
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -318,6 +351,22 @@ def test_cli_config_file_and_flag_override(tmp_path):
     assert config.dataset == "synthetic"
     assert config.epochs == 2
     assert config.seed == 9
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("", (10000, 2000, 3)),
+    ("train_limit = 0\ntest_limit = -1\nepochs = 2\n", (0, -1, 2)),
+    ("train_limit = 50\nepochs = 7\n", (50, 2000, 3)),
+])
+def test_cli_desk_scale_fills_only_unset_limits(tmp_path, text, expected):
+    """--desk-scale sets the limits a config left unset and caps epochs at 3;
+    an explicit limit, even an invalid one, is kept for train to judge."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("dataset = synthetic\n" + text)
+    parser = argparse.ArgumentParser()
+    cli.add_config_flags(parser)
+    config = cli.build_config(parser.parse_args(["--config", str(cfg), "--desk-scale"]))
+    assert (config.train_limit, config.test_limit, config.epochs) == expected
 
 
 def test_cli_config_file_errors(tmp_path):

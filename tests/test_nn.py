@@ -113,6 +113,46 @@ def test_conv_backward_without_grad_x():
     assert np.array_equal(gk, gk_full) and np.array_equal(gb, gb_full)
 
 
+# A grad_out over the pool's footprint only: CIFAR's conv1 (29 of 30) and
+# max2x2's conv2 at MNIST shape (10 of 11, several blocks of images), an
+# uneven crop of a non-square kernel, and no crop at all.
+@pytest.mark.parametrize("x_shape, kernel_shape, out_hw", [
+    ((4, 32, 32, 3), (3, 3, 3, 8), (29, 29)),
+    ((64, 13, 13, 32), (3, 3, 32, 64), (10, 10)),
+    ((3, 9, 8, 2), (3, 2, 2, 3), (5, 7)),
+    ((2, 7, 6, 2), (3, 3, 2, 3), (5, 4)),
+], ids=["cifar_conv1", "max2x2_conv2", "uneven", "uncropped"])
+def test_conv_backward_footprint_grad_out_is_crop_and_pad(x_shape, kernel_shape, out_hw):
+    """conv2d_backward on the whole input with a grad_out that covers only
+    the top-left of the valid output is, bitwise, the backward of the
+    cropped input with its grad_x zero-padded back to the input's shape."""
+    rng = np.random.default_rng(22)
+    x, kernels = rng.normal(size=x_shape), rng.normal(size=kernel_shape)
+    (b, h, w, _), (kh, kw, _, c_out), (oh, ow) = x_shape, kernel_shape, out_hw
+    grad_out = rng.normal(size=(b, oh, ow, c_out))
+    rows, cols = oh + kh - 1, ow + kw - 1
+    gx_crop, gk_crop, gb_crop = nn.conv2d_backward(x[:, :rows, :cols], kernels, grad_out)
+    padded = np.pad(gx_crop, ((0, 0), (0, h - rows), (0, w - cols), (0, 0)))
+    gx, gk, gb = nn.conv2d_backward(x, kernels, grad_out)
+    assert gx.shape == x.shape
+    for got, want in ((gx, padded), (gk, gk_crop), (gb, gb_crop)):
+        assert got.tobytes() == want.tobytes()
+    _, gk_only, gb_only = nn.conv2d_backward(x, kernels, grad_out, need_grad_x=False)
+    assert gk_only.tobytes() == gk.tobytes() and gb_only.tobytes() == gb.tobytes()
+
+
+@pytest.mark.parametrize("grad_shape, kernel_shape", [
+    ((3, 4, 4, 4), (3, 3, 2, 4)),  # batch mismatch
+    ((2, 4, 4, 3), (3, 3, 2, 4)),  # output channel mismatch
+    ((2, 4, 4, 4), (3, 3, 3, 4)),  # input channel mismatch
+    ((2, 5, 4, 4), (3, 3, 2, 4)),  # taller than the valid output
+    ((2, 4, 5, 4), (3, 3, 2, 4)),  # wider than the valid output
+], ids=["batch", "out_channels", "in_channels", "taller", "wider"])
+def test_conv_backward_rejects_incompatible_grad_out(grad_shape, kernel_shape):
+    with pytest.raises(ValueError):
+        nn.conv2d_backward(np.zeros((2, 6, 6, 2)), np.zeros(kernel_shape), np.zeros(grad_shape))
+
+
 def _im2col_bytes_per_image(x, kernels):
     kh, kw, c_in, _ = kernels.shape
     return (x.shape[1] - kh + 1) * (x.shape[2] - kw + 1) * kh * kw * c_in * x.itemsize
@@ -414,6 +454,33 @@ def test_mnist_architecture_shape_trace(variant):
     conv2_out = (10, 10, 64) if variant == "max2x2" else (11, 11, 64)
     assert trace == [(28, 28, 1), (26, 26, 32), (13, 13, 32),
                      conv2_out, (5, 5, 64), (1600,), (128,), (10,)]
+
+
+@pytest.mark.parametrize("spec", [
+    nn.ModelSpec(), nn.ModelSpec(pooling_variant="max2x2"),
+    nn.ModelSpec(pooling_variant="max2x2", activation_placement="pool_only"),
+    nn.ModelSpec(conv_filters=(4,), pool_targets=((1, 1),)),
+], ids=["nirmal", "max2x2", "max2x2_pool_only", "whole_map"])
+def test_pool_caches_keep_one_small_integer_per_output(spec):
+    """The forward keeps the winning offset, not a flat int64 index or a
+    bool mask; backward derives both from it and the fused output."""
+    params = nn.init_params(spec, Shape4(1, 28, 28, 1), seed=0)
+    logits, cache = nn.model_forward(spec, params, np.random.default_rng(21).normal(
+        size=(2, 28, 28, 1)))
+    fused = not (spec.pooling_variant == "max2x2" and spec.activation_placement == "pool_only")
+    next_inputs = [*cache.conv_inputs[1:], cache.dense_inputs[0]]
+    for pc, next_input in zip(cache.pool_caches, next_inputs, strict=True):
+        arrays = [v for v in vars(pc).values() if isinstance(v, np.ndarray)]
+        assert not [a.dtype for a in arrays if a.dtype in (np.int64, np.bool_)]
+        windows = pc.params.window_h * pc.params.window_w
+        assert pc.win.dtype == (np.uint8 if windows <= 256 else np.uint16)
+        assert pc.win.shape == pc.argmax.shape and pc.argmax.dtype == np.int64
+        # A fused pool's mask is read from the output it returned, which the
+        # next layer consumes: no copy is kept.
+        assert (pc.relu_out is not None) == fused
+        assert not fused or np.shares_memory(pc.relu_out, next_input)
+    # The whole-map stage pools 26x26 windows: 676 offsets need two bytes.
+    assert spec.pool_targets != ((1, 1),) or cache.pool_caches[0].win.dtype == np.uint16
 
 
 def _run_model(monkeypatch, spec, params, batch, labels):

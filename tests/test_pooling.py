@@ -258,6 +258,9 @@ def test_property_forward_matches_oracles(case):
     for cache in (plain_cache, fused_cache):
         assert cache.argmax.dtype == np.int64
         assert (x.reshape(-1)[cache.argmax] == plain).all()
+    # The mask derived from the fused output is the pre-ReLU max > 0.
+    assert plain_cache.relu_mask is None
+    assert (fused_cache.relu_mask == (plain > 0.0)).all()
 
 
 @pytest.mark.parametrize("side", [16, 17, 24])
@@ -278,6 +281,7 @@ def test_whole_map_window_matches_oracles(side):
             out, cache = pooling.max_pool_forward(x, p)
             expected = oracles.max_pool_oracle(x, side, side, side, side)
         assert (out == expected).all()
+        assert cache.win.dtype == (np.uint8 if side == 16 else np.uint16)
         assert (x.reshape(-1)[cache.argmax] == x.max(axis=(1, 2), keepdims=True)).all()
         assert cache.argmax[1, 0, 0, 1] == side * side * 3 + 1
         grad = pooling.nirmal_backward(grad_out, cache)
@@ -294,8 +298,24 @@ def test_nan_window_pools_to_nan():
         assert np.isnan(out[0, 0, 0, 0]) and np.isnan(out[0, 1, 1, 0])
         assert out[0, 0, 1, 0] == 8.0 and out[0, 1, 0, 0] == 14.0
         # A NaN window records its first offset, the window's top-left pixel.
+        assert (cache.win[0, :, :, 0] == [[0, 3], [3, 0]]).all()
         assert cache.argmax[0, 0, 0, 0] == 0
         assert cache.argmax[0, 1, 1, 0] == 2 * 4 + 2
+    # NaN > 0 is False before and after the fused ReLU.
+    assert (cache.relu_mask[0, :, :, 0] == [[False, True], [True, False]]).all()
+
+
+def test_fused_pool_mask_is_the_pre_relu_sign():
+    # Signed zeros, negatives and ties: the mask read from the fused output
+    # is True exactly where the max before the ReLU was > 0.
+    x = np.array([[-0.0, -1.0, 0.0, 0.0, 3.0, 3.0],
+                  [-2.0, -0.0, -0.0, 0.0, 3.0, -1.0]]).reshape(1, 2, 6, 1)
+    plain, _ = pooling.max_pool_forward(x, pooling.compute_pool_params(2, 6, 1, 3))
+    out, cache = pooling.nirmal_forward(x, 1, 3)
+    assert (cache.relu_mask == (plain > 0.0)).all()
+    assert cache.relu_mask.ravel().tolist() == [False, False, True]
+    assert np.signbit(out).sum() == 0  # -0.0 pools to +0.0
+    assert cache.argmax.ravel().tolist() == [0, 2, 4]
 
 
 @settings(deadline=None)
