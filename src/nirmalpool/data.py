@@ -95,13 +95,19 @@ def load_mnist(images_path, labels_path, name: str = "mnist") -> Dataset:
     labels = load_idx_labels(labels_path)
     if labels.max(initial=0) > 9:
         raise ValueError(f"label out of range: {labels.max()}")
-    images = raw.astype(np.float64)[..., None] / 255.0
+    # Normalized straight from the bytes into the one float64 array kept.
+    images = np.empty((*raw.shape, 1))
+    np.divide(raw[..., None], 255.0, out=images)
     return Dataset(images, labels.astype(np.int64), name)
 
 
 def load_cifar10(paths: Sequence, name: str = "cifar10") -> Dataset:
-    """Decode CIFAR-10 binary batch files into a normalized dataset."""
-    images, labels = [], []
+    """Decode CIFAR-10 binary batch files into a normalized dataset.
+
+    Every file is checked first; then each is normalized straight from its
+    bytes into its rows of the one float64 array kept, with no per-file
+    float copy and no concatenation."""
+    files = []
     for path in paths:
         data = Path(path).read_bytes()
         if len(data) % CIFAR_RECORD_BYTES != 0:
@@ -110,11 +116,18 @@ def load_cifar10(paths: Sequence, name: str = "cifar10") -> Dataset:
         batch_labels = records[:, 0]
         if len(batch_labels) and batch_labels.max() > 9:
             raise ValueError(f"{path}: label out of range: {batch_labels.max()}")
+        files.append(records)
+    n = sum(len(records) for records in files)
+    images, labels = np.empty((n, 32, 32, 3)), np.empty(n, np.int64)
+    start = 0
+    for records in files:
+        rows = slice(start, start + len(records))
+        labels[rows] = records[:, 0]
         # channel-planar (3, 32, 32) -> interleaved (32, 32, 3)
         planes = records[:, 1:].reshape(-1, 3, 32, 32).transpose(0, 2, 3, 1)
-        images.append(planes.astype(np.float64) / 255.0)
-        labels.append(batch_labels.astype(np.int64))
-    return Dataset(np.concatenate(images), np.concatenate(labels), name)
+        np.divide(planes, 255.0, out=images[rows])
+        start = rows.stop
+    return Dataset(images, labels, name)
 
 
 def split_train_val(dataset: Dataset, fraction: float, seed: int) -> Split:

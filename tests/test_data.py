@@ -84,6 +84,7 @@ def test_load_mnist_normalization(tmp_path):
     assert ds.images.shape == (1, 2, 2, 1)
     assert ds.images.max() == 1.0
     assert ds.images[0, 0, 1, 0] == pytest.approx(128 / 255)
+    assert ds.images.tobytes() == (images.astype(np.float64)[..., None] / 255.0).tobytes()
     assert (ds.images >= 0).all() and (ds.images <= 1).all()
     assert ds.labels.tolist() == [7]
 
@@ -108,6 +109,24 @@ def test_cifar_empty_and_two_records(tmp_path):
     ds = data.load_cifar10([two])
     assert len(ds) == 2
     assert ds.labels.tolist() == [1, 2]
+
+
+def test_cifar_files_decode_in_order_to_exact_quotients(tmp_path):
+    rng = np.random.default_rng(3)
+    paths, expected_images, expected_labels = [], [], []
+    for i, n in enumerate((3, 0, 5)):
+        records = rng.integers(0, 256, size=(n, data.CIFAR_RECORD_BYTES), dtype=np.uint8)
+        records[:, 0] %= 10
+        paths.append(tmp_path / f"batch{i}.bin")
+        paths[-1].write_bytes(records.tobytes())
+        planes = records[:, 1:].reshape(-1, 3, 32, 32).transpose(0, 2, 3, 1)
+        expected_images.append(planes.astype(np.float64) / 255.0)
+        expected_labels.append(records[:, 0].astype(np.int64))
+    ds = data.load_cifar10(paths)
+    assert ds.images.dtype == np.float64 and ds.images.flags.c_contiguous
+    assert ds.images.tobytes() == np.concatenate(expected_images).tobytes()
+    assert ds.labels.dtype == np.int64
+    assert ds.labels.tolist() == np.concatenate(expected_labels).tolist()
 
 
 def test_cifar_bad_size_rejected(tmp_path):
