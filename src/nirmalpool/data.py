@@ -4,6 +4,12 @@ normalization, deterministic splits and batching.
 IDX layout (big endian): i32 magic (2051 images / 2049 labels), i32 dims,
 then raw unsigned bytes. CIFAR-10 binary records are 3073 bytes: one label
 byte followed by channel-planar 1024R + 1024G + 1024B pixels.
+
+A loaded dataset keeps its images as the uint8 bytes it decoded
+(`ByteImages`) and normalizes only what is read: each read divides the bytes
+read by 255 into a fresh float64 array. So the full MNIST protocol's 70k
+images take 55 MB, not 439 MB as float64, and CIFAR-10's 60k take 184 MB,
+not 1.47 GB; a split or subset copies bytes, not floats.
 """
 
 import math
@@ -23,9 +29,57 @@ class FormatError(ValueError):
     """Malformed dataset file (bad magic, truncated, wrong record size)."""
 
 
+def _normalize(raw) -> np.ndarray:
+    """raw / 255 as a fresh float64 array, or a float64 scalar for one pixel.
+    The uint8 to float64 cast is exact, so the values are bitwise those of
+    raw.astype(np.float64) / 255.0."""
+    out = np.empty(np.shape(raw))
+    np.divide(raw, 255.0, out=out)
+    return out if out.ndim else out[()]
+
+
+class ByteImages:
+    """Read-only (N, H, W, C) images stored as one uint8 byte per pixel.
+
+    Indexing (as an ndarray is indexed) and `np.asarray` return the bytes
+    read divided by 255, as a fresh float64 array in [0, 1]; `take` returns
+    the bytes it picks as a new ByteImages. `raw` is the read-only byte
+    array.
+    """
+
+    dtype = np.dtype(np.float64)  # the dtype a read returns
+
+    def __init__(self, raw: np.ndarray):
+        if raw.dtype != np.uint8 or raw.ndim != 4:
+            raise ValueError(f"expected (N, H, W, C) uint8 bytes, got {raw.dtype} {raw.shape}")
+        self.raw = raw.view()
+        self.raw.flags.writeable = False
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.raw.shape
+
+    def __len__(self) -> int:
+        return len(self.raw)
+
+    def __getitem__(self, key) -> np.ndarray:
+        return _normalize(self.raw[key])
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if copy is False:
+            raise ValueError("ByteImages are bytes; reading them as floats copies")
+        images = _normalize(self.raw)
+        return images if dtype is None else images.astype(dtype, copy=False)
+
+    def take(self, indices, axis: int = 0) -> "ByteImages":
+        return ByteImages(self.raw.take(indices, axis=axis))
+
+
 @dataclass
 class Dataset:
-    images: np.ndarray  # (N, H, W, C) float64 in [0, 1]
+    # (N, H, W, C); a read gives float64 in [0, 1]. ByteImages for a loaded
+    # file, a float64 ndarray for the synthetic set.
+    images: np.ndarray | ByteImages
     labels: np.ndarray  # (N,) int64 in [0, 10)
     name: str
 
@@ -37,7 +91,7 @@ class Dataset:
         return len(self.labels)
 
     def subset(self, indices: np.ndarray) -> "Dataset":
-        return Dataset(self.images[indices], self.labels[indices], self.name)
+        return Dataset(self.images.take(indices, axis=0), self.labels[indices], self.name)
 
 
 @dataclass
@@ -90,23 +144,19 @@ def write_idx_labels(path, labels: np.ndarray) -> None:
 
 
 def load_mnist(images_path, labels_path, name: str = "mnist") -> Dataset:
-    """Decode an IDX image/label pair into a normalized dataset."""
+    """Decode an IDX image/label pair into a dataset of byte images."""
     raw = load_idx_images(images_path)
     labels = load_idx_labels(labels_path)
     if labels.max(initial=0) > 9:
         raise ValueError(f"label out of range: {labels.max()}")
-    # Normalized straight from the bytes into the one float64 array kept.
-    images = np.empty((*raw.shape, 1))
-    np.divide(raw[..., None], 255.0, out=images)
-    return Dataset(images, labels.astype(np.int64), name)
+    return Dataset(ByteImages(raw[..., None]), labels.astype(np.int64), name)
 
 
 def load_cifar10(paths: Sequence, name: str = "cifar10") -> Dataset:
-    """Decode CIFAR-10 binary batch files into a normalized dataset.
+    """Decode CIFAR-10 binary batch files into a dataset of byte images.
 
-    Every file is checked first; then each is normalized straight from its
-    bytes into its rows of the one float64 array kept, with no per-file
-    float copy and no concatenation."""
+    Every file is checked first; then each file's pixels are copied,
+    interleaved, into its rows of one uint8 array."""
     files = []
     for path in paths:
         data = Path(path).read_bytes()
@@ -118,16 +168,16 @@ def load_cifar10(paths: Sequence, name: str = "cifar10") -> Dataset:
             raise ValueError(f"{path}: label out of range: {batch_labels.max()}")
         files.append(records)
     n = sum(len(records) for records in files)
-    images, labels = np.empty((n, 32, 32, 3)), np.empty(n, np.int64)
+    images, labels = np.empty((n, 32, 32, 3), np.uint8), np.empty(n, np.int64)
     start = 0
     for records in files:
         rows = slice(start, start + len(records))
         labels[rows] = records[:, 0]
         # channel-planar (3, 32, 32) -> interleaved (32, 32, 3)
         planes = records[:, 1:].reshape(-1, 3, 32, 32).transpose(0, 2, 3, 1)
-        np.divide(planes, 255.0, out=images[rows])
+        images[rows] = planes
         start = rows.stop
-    return Dataset(images, labels, name)
+    return Dataset(ByteImages(images), labels, name)
 
 
 def split_train_val(dataset: Dataset, fraction: float, seed: int) -> Split:

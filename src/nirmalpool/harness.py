@@ -181,7 +181,8 @@ def train(config: RunConfig, verbose: bool = False) -> RunReport:
         raise ValueError("the test set is empty; check the test files")
 
     split = datasets.split_train_val(train_full, config.val_fraction, config.seed)
-    h, w, c = train_full.images.shape[1:]
+    del train_full  # the split holds copies; free the undivided set before training
+    h, w, c = split.train.images.shape[1:]
     spec = build_model_spec(config, (h, w))
     params = nn.init_params(spec, (1, h, w, c), seed=config.seed)
     state = optim.init_adam(params, lr=config.lr, beta1=config.beta1,

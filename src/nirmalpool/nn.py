@@ -114,8 +114,8 @@ def conv2d_backward(x: np.ndarray, kernels: np.ndarray, grad_out: np.ndarray,
                          f"input {x.shape} and kernel {kernels.shape}")
 
     k = kh * kw * c_in
-    grad_wb = np.zeros((k + 1, c_out))
-    grad_x = np.zeros(x.shape) if need_grad_x else None
+    grad_wb = np.zeros((k + 1, c_out), grad_out.dtype)
+    grad_x = np.zeros(x.shape, grad_out.dtype) if need_grad_x else None
     for blk, cols in _im2col(_windows(x, kh, kw)[:, :oh, :ow]):
         g = grad_out[blk].reshape(-1, c_out)
         grad_wb += cols.T @ g

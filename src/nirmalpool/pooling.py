@@ -133,7 +133,7 @@ def max_pool_forward(x: np.ndarray, params: PoolParams) -> tuple[np.ndarray, Poo
     rows, cols = p.out_h * p.stride_h, p.out_w * p.stride_w
     offsets = [(dy, dx) for dy in range(p.window_h) for dx in range(p.window_w)]
     views = [x[:, dy:dy + rows:p.stride_h, dx:dx + cols:p.stride_w] for dy, dx in offsets]
-    out = np.array(views[0], dtype=np.float64)
+    out = np.array(views[0], dtype=x.dtype)
     for v in views[1:]:
         np.maximum(out, v, out=out)
 
@@ -177,7 +177,7 @@ def nirmal_backward(grad_out: np.ndarray, cache: PoolCache) -> np.ndarray:
     argmax, relu_mask = cache.argmax, cache.relu_mask
     if relu_mask is not None:
         grad_out = grad_out * relu_mask
-    grad_in = np.zeros(cache.input_shape.element_count(), dtype=np.float64)
+    grad_in = np.zeros(cache.input_shape.element_count(), dtype=grad_out.dtype)
     # Overlapping windows (P > S) accumulate additively.
     np.add.at(grad_in, argmax.ravel(), grad_out.ravel())
     return grad_in.reshape(cache.input_shape)

@@ -1,8 +1,9 @@
 """Dense rank-4 tensors in (batch, height, width, channel) layout.
 
-Tensors are plain float64 numpy arrays; this module pins the layout
-conventions (row-major BHWC) and provides the elementwise primitives the
-rest of the library builds on.
+Tensors are plain numpy float arrays: float64 unless a caller passes
+float32, since every layer's outputs and gradients follow its input's
+dtype. This module pins the layout conventions (row-major BHWC) and
+provides the elementwise primitives the rest of the library builds on.
 """
 
 from typing import NamedTuple

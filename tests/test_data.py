@@ -1,4 +1,5 @@
 import io
+import math
 import struct
 import tempfile
 from pathlib import Path
@@ -82,10 +83,11 @@ def test_load_mnist_normalization(tmp_path):
     data.write_idx_labels(tmp_path / "lab", np.array([7], dtype=np.uint8))
     ds = data.load_mnist(tmp_path / "img", tmp_path / "lab", "fixture")
     assert ds.images.shape == (1, 2, 2, 1)
-    assert ds.images.max() == 1.0
+    read = np.asarray(ds.images)
+    assert read.max() == 1.0
     assert ds.images[0, 0, 1, 0] == pytest.approx(128 / 255)
-    assert ds.images.tobytes() == (images.astype(np.float64)[..., None] / 255.0).tobytes()
-    assert (ds.images >= 0).all() and (ds.images <= 1).all()
+    assert read.tobytes() == (images.astype(np.float64)[..., None] / 255.0).tobytes()
+    assert (read >= 0).all() and (read <= 1).all()
     assert ds.labels.tolist() == [7]
 
 
@@ -123,10 +125,81 @@ def test_cifar_files_decode_in_order_to_exact_quotients(tmp_path):
         expected_images.append(planes.astype(np.float64) / 255.0)
         expected_labels.append(records[:, 0].astype(np.int64))
     ds = data.load_cifar10(paths)
-    assert ds.images.dtype == np.float64 and ds.images.flags.c_contiguous
-    assert ds.images.tobytes() == np.concatenate(expected_images).tobytes()
+    read = np.asarray(ds.images)
+    assert read.dtype == np.float64 and read.flags.c_contiguous
+    assert read.tobytes() == np.concatenate(expected_images).tobytes()
     assert ds.labels.dtype == np.int64
     assert ds.labels.tolist() == np.concatenate(expected_labels).tolist()
+
+
+def loaded_pair(tmp_path, loader):
+    """A dataset of 7 seeded images decoded by `loader`, and the float64
+    array today's division of its bytes gives."""
+    rng = np.random.default_rng(11)
+    if loader == "mnist":
+        raw = rng.integers(0, 256, size=(7, 5, 4), dtype=np.uint8)
+        data.write_idx_images(tmp_path / "img", raw)
+        data.write_idx_labels(tmp_path / "lab", rng.integers(0, 10, 7))
+        ds = data.load_mnist(tmp_path / "img", tmp_path / "lab")
+        return ds, raw[..., None].astype(np.float64) / 255.0
+    records = rng.integers(0, 256, size=(7, data.CIFAR_RECORD_BYTES), dtype=np.uint8)
+    records[:, 0] %= 10
+    (tmp_path / "batch.bin").write_bytes(records.tobytes())
+    planes = records[:, 1:].reshape(-1, 3, 32, 32).transpose(0, 2, 3, 1)
+    return data.load_cifar10([tmp_path / "batch.bin"]), planes.astype(np.float64) / 255.0
+
+
+@pytest.mark.parametrize("loader", ["mnist", "cifar"])
+def test_byte_images_read_as_exact_float64_quotients(tmp_path, loader):
+    ds, expected = loaded_pair(tmp_path, loader)
+    assert ds.images.shape == expected.shape and len(ds.images) == len(expected)
+    assert ds.images.dtype == np.float64
+    for key in (3, -1, slice(1, 5), slice(None, None, 2), np.array([6, 0, 0, 2]),
+                (2, slice(None), 1), (0, 1, 2, 0)):
+        read = ds.images[key]
+        assert read.dtype == np.float64
+        assert np.asarray(read).tobytes() == np.asarray(expected[key]).tobytes()
+    read = np.asarray(ds.images)
+    assert read.dtype == np.float64 and read.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("loader", ["mnist", "cifar"])
+def test_subset_and_split_keep_one_byte_per_pixel(tmp_path, loader):
+    ds, expected = loaded_pair(tmp_path, loader)
+    assert ds.images.raw.nbytes == math.prod(ds.images.shape)
+    split = data.split_train_val(ds, 0.3, seed=4)
+    sub = ds.subset(np.array([5, 1, 1]))
+    for part in (split.train, split.val, sub):
+        assert part.images.raw.dtype == np.uint8
+        assert part.images.raw.nbytes == math.prod(part.images.shape)
+    assert np.asarray(sub.images).tobytes() == expected[[5, 1, 1]].tobytes()
+    perm = np.random.default_rng(4).permutation(len(ds))
+    assert np.asarray(split.val.images).tobytes() == expected[perm[:2]].tobytes()
+
+
+@pytest.mark.parametrize("loader", ["mnist", "cifar"])
+def test_loaded_images_are_read_only(tmp_path, loader):
+    ds, expected = loaded_pair(tmp_path, loader)
+    with pytest.raises(TypeError):
+        ds.images[0, 0, 0, 0] = 0.5
+    with pytest.raises(ValueError):
+        ds.images.raw[0, 0, 0, 0] = 1
+    with pytest.raises(ValueError):
+        np.asarray(ds.images, copy=False)
+    assert np.asarray(ds.images).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("loader", ["mnist", "cifar"])
+def test_batches_of_byte_images_equal_float64_batches(tmp_path, loader):
+    ds, expected = loaded_pair(tmp_path, loader)
+    as_floats = data.Dataset(expected, ds.labels, ds.name)
+    for epoch in (0, 1):
+        pairs = zip(data.batches(ds, 3, seed=2, epoch=epoch),
+                    data.batches(as_floats, 3, seed=2, epoch=epoch), strict=True)
+        for (images, labels), (want_images, want_labels) in pairs:
+            assert images.dtype == np.float64
+            assert images.tobytes() == want_images.tobytes()
+            assert (labels == want_labels).all()
 
 
 def test_cifar_bad_size_rejected(tmp_path):

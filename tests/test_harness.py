@@ -2,11 +2,12 @@ import argparse
 import csv
 import dataclasses
 import itertools
+import weakref
 
 import numpy as np
 import pytest
 
-from nirmalpool import cli, data, gradcheck, harness, pooling
+from nirmalpool import cli, data, gradcheck, harness, nn, pooling
 
 
 def synth_config(**overrides):
@@ -135,6 +136,27 @@ def test_divergence_error_names_epoch(monkeypatch):
         harness.train(synth_config(epochs=1, batch_size=64))
     assert exc_info.value.epoch == 0
     assert "epoch 0" in str(exc_info.value)
+
+
+def test_train_frees_the_loaded_train_set_before_the_first_step(monkeypatch):
+    loaded = []
+
+    def load(cfg):
+        train_set = data.synthetic_two_class(64, seed=0)
+        loaded.append(weakref.ref(train_set))
+        return train_set, data.synthetic_two_class(16, seed=1)
+
+    alive_at_steps = []
+    forward = nn.model_forward
+
+    def watched_forward(spec, params, batch):
+        alive_at_steps.append(loaded[0]() is not None)
+        return forward(spec, params, batch)
+
+    monkeypatch.setattr(harness, "load_dataset_pair", load)
+    monkeypatch.setattr(nn, "model_forward", watched_forward)
+    harness.train(synth_config(epochs=1))
+    assert alive_at_steps and alive_at_steps[0] is False
 
 
 def test_missing_data_root_raises_path_error(monkeypatch):

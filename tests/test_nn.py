@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from nirmalpool import gradcheck, nn, pooling
+from nirmalpool import gradcheck, nn, optim, pooling
 from nirmalpool.tensor import Shape4
 
 import oracles
@@ -636,3 +636,28 @@ def test_model_spec_validation():
         nn.ModelSpec(dense_units=())
     with pytest.raises(ValueError):
         nn.ModelSpec(conv_filters=(8,), pool_targets=(None, None))
+
+
+@pytest.mark.parametrize("variant", ["nirmal", "max2x2"])
+@pytest.mark.parametrize("placement", ["after_conv", "pool_only"])
+def test_float32_step_returns_only_float32(variant, placement):
+    """Dtype follows the input: float32 params and batch give float32
+    logits, activations, gradients, params and Adam moments. The moments are
+    updated in place, so a float64 gradient would be cast silently; each
+    gradient is checked before Adam sees it. 13x13 inputs give the NIRMAL
+    stage overlapping 3x3 stride-2 windows."""
+    rng = np.random.default_rng(5)
+    spec = nn.ModelSpec(pooling_variant=variant, activation_placement=placement,
+                        conv_filters=(4, 6), dense_units=(8, 10))
+    x = rng.uniform(size=(3, 13, 13, 2)).astype(np.float32)
+    params = {k: v.astype(np.float32) for k, v in nn.init_params(spec, x.shape, seed=0).items()}
+    logits, cache = nn.model_forward(spec, params, x)
+    _, grad_logits = nn.softmax_cross_entropy(logits, rng.integers(0, 10, 3))
+    grads = nn.model_backward(spec, params, cache, grad_logits)
+    state = optim.init_adam(params)
+    new_params = optim.adam_step(params, grads, state)
+    arrays = [logits, grad_logits, *cache.conv_inputs, *cache.dense_inputs,
+              *grads.values(), *new_params.values(), *state.m.values(), *state.v.values()]
+    arrays += [pc.relu_out for pc in cache.pool_caches if pc.relu_out is not None]
+    assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
+    assert set(grads) == set(params)
