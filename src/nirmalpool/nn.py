@@ -4,7 +4,8 @@ backward passes.
 
 The reference network is conv(32) -> pool -> conv(64) -> pool -> flatten ->
 dense(128) -> ReLU -> dense(10). The pooling stage is either the adaptive
-fused-ReLU operator or the fixed 2x2 baseline. `activation_placement`
+fused-ReLU operator or the fixed 2x2 baseline; its targets are checked
+under either, though the 2x2 baseline ignores them. `activation_placement`
 says whether a ReLU follows each convolution (`after_conv`) or the
 non-linearity is supplied solely by the pooling stage (`pool_only`). A ReLU
 commutes with max, relu(max(x)) = max(relu(x)), so `after_conv` is computed
@@ -12,14 +13,13 @@ as a ReLU fused after the pool, on the pooled map only: the adaptive variant
 gives the same network under either placement, and the 2x2 baseline is
 unfused only under `pool_only`.
 
-A pool places windows only where they fit whole, so the trailing rows and
-columns of a conv output that no window reaches are never computed: each
-convolution runs on the part of its input that yields the pool's footprint,
-and the input gradient of the rest is zero.
+A pool places windows only where they fit whole. `plan` works out each
+stage's geometry from the spec and the input shape alone, and each conv
+computes only the part of its output that the pool's windows read; the
+input gradient of the rest is zero.
 """
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -173,8 +173,8 @@ class ModelSpec:
     conv_filters: tuple[int, ...] = (32, 64)
     # Every dense layer but the last is followed by a ReLU; the last gives the logits.
     dense_units: tuple[int, ...] = (128, 10)
-    # Per-stage (target_h, target_w); None means exact halving of the
-    # incoming feature map (ignored by the fixed 2x2 baseline).
+    # Per-stage (target_h, target_w), ints >= 1; None means exact halving of
+    # the incoming feature map. Checked also where the fixed 2x2 baseline ignores them.
     pool_targets: tuple[tuple[int, int] | None, ...] = (None, None)
 
     def __post_init__(self):
@@ -190,57 +190,58 @@ class ModelSpec:
         if len(self.pool_targets) > len(self.conv_filters):
             raise ValueError(f"{len(self.pool_targets)} pool_targets for "
                              f"{len(self.conv_filters)} conv stages")
+        for t in self.pool_targets:
+            if t is not None and not (isinstance(t, tuple) and len(t) == 2
+                                      and all(type(v) is int and v >= 1 for v in t)):
+                raise ValueError(f"pool target {t!r} is neither None nor a pair of ints >= 1")
 
 
-_Pool = Callable[[np.ndarray], tuple[np.ndarray, pooling.PoolCache]]
+@dataclass(frozen=True)
+class Stage:
+    """One conv stage's geometry, fixed by the spec and the input shape."""
+
+    reads: tuple[int, int]  # input rows and cols the conv reads: pool footprint + KERNEL_SIZE - 1
+    pool: pooling.PoolParams
+    target: tuple[int, int] | None  # the adaptive pool's (th, tw); None for the fixed 2x2 pool
+    relu: bool  # a ReLU is fused after the pool
 
 
-def _pool(spec: ModelSpec, stage: int, h: int, w: int) -> tuple[tuple[int, int], _Pool]:
-    """Pooling stage `stage` (0-based) of an h x w conv output, the one place
-    the two variants differ. Returns the (rows, cols) its windows read and
-    the pool to run on them: the fixed 2x2 pool, fused with a ReLU under
-    after_conv, or the adaptive fused pool toward the stage's target, where a
-    missing or None target halves the map. On its footprint either pool
-    places the same windows as on the whole map."""
-    if spec.pooling_variant == "max2x2":
-        relu = spec.activation_placement == "after_conv"
-        return (pooling.max_pool2x2_params(h, w).footprint,
-                lambda x: pooling.max_pool2x2_forward(x, relu=relu))
-    target = spec.pool_targets[stage] if stage < len(spec.pool_targets) else None
-    th, tw = target or (max(1, h // 2), max(1, w // 2))
-    return (pooling.compute_pool_params(h, w, th, tw).footprint,
-            lambda x: pooling.nirmal_forward(x, th, tw))
-
-
-def _crop(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """The top-left rows x cols pixels of x: x itself when that is all of it."""
-    return x if x.shape[1:3] == (rows, cols) else x[:, :rows, :cols]
-
-
-def _stage(spec: ModelSpec, stage: int, x: np.ndarray, kernels: np.ndarray,
-           bias: np.ndarray) -> tuple[np.ndarray, pooling.PoolCache]:
-    """Conv stage `stage`: the convolution of the part of x that yields its
-    pool's footprint, then the pool."""
-    kh, kw = kernels.shape[:2]
-    (rows, cols), pool = _pool(spec, stage, x.shape[1] - kh + 1, x.shape[2] - kw + 1)
-    return pool(conv2d_forward(_crop(x, rows + kh - 1, cols + kw - 1), kernels, bias))
+def plan(spec: ModelSpec, input_shape: Shape4) -> tuple[Stage, ...]:
+    """Each conv stage's geometry on inputs of `input_shape`, from integers
+    alone: the one place the variants differ. max2x2 pools 2x2, fused with a
+    ReLU only under after_conv; nirmal runs the fused adaptive pool toward the
+    stage's target, where a missing or None target halves the map."""
+    _, h, w, _ = input_shape
+    stages = []
+    for idx in range(len(spec.conv_filters)):
+        if h < KERNEL_SIZE or w < KERNEL_SIZE:
+            raise ValueError(f"spatial dims {(h, w)} smaller than kernel {(KERNEL_SIZE,) * 2}")
+        h, w = h - KERNEL_SIZE + 1, w - KERNEL_SIZE + 1
+        if spec.pooling_variant == "max2x2":
+            target, relu = None, spec.activation_placement == "after_conv"
+            pool = pooling.max_pool2x2_params(h, w)
+        else:
+            target = spec.pool_targets[idx] if idx < len(spec.pool_targets) else None
+            target = target or (max(1, h // 2), max(1, w // 2))
+            relu, pool = True, pooling.compute_pool_params(h, w, *target)
+        rows, cols = pool.footprint
+        stages.append(Stage((rows + KERNEL_SIZE - 1, cols + KERNEL_SIZE - 1), pool, target, relu))
+        h, w = pool.out_h, pool.out_w
+    return tuple(stages)
 
 
 def init_params(spec: ModelSpec, input_shape: Shape4, seed: int) -> dict[str, np.ndarray]:
-    """Kaiming-style normal init (std = sqrt(2 / fan_in)), zero biases.
-
-    Layer sizes come from running the conv stages on an empty batch, so they
-    are the shapes model_forward produces."""
+    """Kaiming-style normal init (std = sqrt(2 / fan_in)), zero biases; the
+    layer sizes come from `plan`, as in model_forward."""
     rng = np.random.default_rng(seed)
     k = KERNEL_SIZE
-    x = np.empty((0, *Shape4(*input_shape)[1:]))
+    _, h, w, c = input_shape
     params: dict[str, np.ndarray] = {}
-    for idx, filters in enumerate(spec.conv_filters, start=1):
-        c = x.shape[3]
+    for idx, (filters, stage) in enumerate(zip(spec.conv_filters, plan(spec, input_shape)), 1):
         params[f"conv{idx}_w"] = rng.normal(0.0, np.sqrt(2.0 / (k * k * c)), (k, k, c, filters))
         params[f"conv{idx}_b"] = np.zeros(filters)
-        x, _ = _stage(spec, idx - 1, x, params[f"conv{idx}_w"], params[f"conv{idx}_b"])
-    features = math.prod(x.shape[1:])
+        h, w, c = stage.pool.out_h, stage.pool.out_w, filters
+    features = h * w * c
     for idx, units in enumerate(spec.dense_units, start=1):
         params[f"dense{idx}_w"] = rng.normal(0.0, np.sqrt(2.0 / features), (features, units))
         params[f"dense{idx}_b"] = np.zeros(units)
@@ -262,9 +263,13 @@ def model_forward(spec: ModelSpec, params: dict[str, np.ndarray],
     """Compose the network; returns logits and the caches backward needs."""
     cache = ForwardCache()
     x = batch
-    for idx in range(1, len(spec.conv_filters) + 1):
+    for idx, stage in enumerate(plan(spec, batch.shape), start=1):
         cache.conv_inputs.append(x)
-        x, pc = _stage(spec, idx - 1, x, params[f"conv{idx}_w"], params[f"conv{idx}_b"])
+        rows, cols = stage.reads
+        x = conv2d_forward(x if x.shape[1:3] == stage.reads else x[:, :rows, :cols],
+                           params[f"conv{idx}_w"], params[f"conv{idx}_b"])
+        x, pc = (pooling.nirmal_forward(x, *stage.target) if stage.target is not None
+                 else pooling.max_pool2x2_forward(x, relu=stage.relu))
         cache.pool_caches.append(pc)
     cache.flat_input_shape = x.shape
     x = x.reshape(x.shape[0], -1)

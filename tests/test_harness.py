@@ -251,6 +251,19 @@ def test_cli_more_pool_targets_than_stages_exit_code(tmp_path, dataset, targets)
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_compare_bad_pool_target_exit_code(monkeypatch, tmp_path):
+    """A bad target is rejected before either variant trains, though the
+    max2x2 run, which goes first, ignores targets."""
+    def no_steps(*args):
+        raise AssertionError("a step ran before the bad pool target was rejected")
+
+    monkeypatch.setattr(nn, "model_forward", no_steps)
+    code = cli.main(["compare", "--dataset", "synthetic", "--epochs", "1",
+                     "--pool-targets", "0x0", "--output-dir", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("test_limit", [0, -1])
 def test_cli_empty_test_set_exit_code(monkeypatch, tmp_path, test_limit):
     def no_epochs(*args):

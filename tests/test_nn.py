@@ -520,10 +520,19 @@ def test_cropped_convs_are_the_uncropped_network(monkeypatch, spec, shape):
               for k, v in nn.init_params(spec, Shape4(*shape), seed=18).items()}
     batch, labels = rng.normal(size=shape), rng.integers(0, 10, shape[0])
     logits, cache, grads, pool_grads = _run_model(monkeypatch, spec, params, batch, labels)
+    plan = nn.plan
+
+    def whole_inputs(spec, input_shape):
+        stages, hw = [], tuple(input_shape[1:3])
+        for stage in plan(spec, input_shape):
+            stages.append(dataclasses.replace(stage, reads=hw))
+            hw = (stage.pool.out_h, stage.pool.out_w)
+        return tuple(stages)
+
     with monkeypatch.context() as mp:
         # The reference convolves every stage's whole input; the pool drops
         # the rows and columns its windows miss.
-        mp.setattr(nn, "_crop", lambda x, rows, cols: x)
+        mp.setattr(nn, "plan", whole_inputs)
         ref_logits, ref_cache, ref_grads, ref_pool_grads = _run_model(
             monkeypatch, spec, params, batch, labels)
 
@@ -565,10 +574,10 @@ def test_uncropped_conv_reads_its_input_itself(monkeypatch):
 
 @st.composite
 def model_case(draw):
-    """A spec of 1-3 conv stages, either variant and placement, and per-stage
+    """A spec of 0-3 conv stages, either variant and placement, and per-stage
     targets of None or up to the input size, with an input shape of 8-32 px."""
     h, w = draw(st.integers(8, 32)), draw(st.integers(8, 32))
-    stages = draw(st.integers(1, 3))
+    stages = draw(st.integers(0, 3))
     target = st.none() | st.tuples(st.integers(1, h), st.integers(1, w))
     placement = st.sampled_from([None, "after_conv", "pool_only"])
     spec = nn.ModelSpec(pooling_variant=draw(st.sampled_from(["nirmal", "max2x2"])),
@@ -590,6 +599,22 @@ def test_property_init_sizes_match_forward(case):
     logits, cache = nn.model_forward(spec, params, batch)
     assert logits.shape == (2, spec.dense_units[-1])
     assert params["dense1_w"].shape[0] == math.prod(cache.flat_input_shape[1:])
+    assert [s.pool for s in nn.plan(spec, shape)] == [pc.params for pc in cache.pool_caches]
+
+
+def test_init_params_runs_no_conv_or_pool(monkeypatch):
+    """init_params sizes every layer from the plan alone."""
+    def fail(*args, **kwargs):
+        raise AssertionError("init_params ran a layer")
+
+    for module, name in ((nn, "conv2d_forward"), (pooling, "nirmal_forward"),
+                         (pooling, "max_pool2x2_forward")):
+        monkeypatch.setattr(module, name, fail)
+    for variant in ("nirmal", "max2x2"):
+        spec = nn.ModelSpec(pooling_variant=variant, pool_targets=((14, 14), (5, 5)))
+        params = nn.init_params(spec, Shape4(1, 32, 32, 3), seed=0)
+        last = nn.plan(spec, Shape4(1, 32, 32, 3))[-1].pool
+        assert params["dense1_w"].shape == (last.out_h * last.out_w * 64, 128)
 
 
 def test_model_spec_placement_defaults_to_the_variant():
@@ -636,6 +661,12 @@ def test_model_spec_validation():
         nn.ModelSpec(dense_units=())
     with pytest.raises(ValueError):
         nn.ModelSpec(conv_filters=(8,), pool_targets=(None, None))
+    # Targets are checked under either variant, though max2x2 ignores them.
+    for variant in ("nirmal", "max2x2"):
+        for target in ((0, 0), (2.5, 3), (3,), (True, 3), (3, -1), [3, 3], "33"):
+            with pytest.raises(ValueError):
+                nn.ModelSpec(pooling_variant=variant, pool_targets=(target,))
+        assert nn.ModelSpec(pooling_variant=variant, pool_targets=((1, 7), None))
 
 
 @pytest.mark.parametrize("variant", ["nirmal", "max2x2"])
