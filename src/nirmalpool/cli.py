@@ -10,10 +10,9 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 divergence,
 
 import argparse
 import sys
-from dataclasses import fields
 from pathlib import Path
 
-from . import gradcheck, harness
+from . import gradcheck, harness, nn
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -21,7 +20,42 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_DIVERGENCE = 4
 
-_FIELD_TYPES = {f.name: f.type for f in fields(harness.RunConfig)}
+
+def parse_pool_targets(text: str) -> tuple:
+    """Comma-separated per-stage targets, e.g. '13x13,5x5' or 'half,5x5'."""
+    stages = []
+    for part in text.split(","):
+        part = part.strip()
+        if part == "half":
+            stages.append(None)
+        else:
+            h, _, w = part.partition("x")
+            stages.append((int(h), int(w)))
+    return tuple(stages)
+
+
+# One row per RunConfig field: its command-line flag (None: config file
+# only), the parser that the flag and a config-file value share, and further
+# add_argument keywords.
+SETTINGS = {
+    "dataset": ("--dataset", str, {"choices": harness.DATASETS}),
+    "pooling_variant": ("--variant", str, {"choices": nn.VARIANTS}),
+    "activation_placement": ("--activation-placement", str, {"choices": nn.PLACEMENTS}),
+    "epochs": ("--epochs", int, {}),
+    "batch_size": ("--batch-size", int, {}),
+    "val_fraction": ("--val-fraction", float, {}),
+    "seed": ("--seed", int, {}),
+    "lr": ("--lr", float, {}),
+    "beta1": ("--beta1", float, {}),
+    "beta2": ("--beta2", float, {}),
+    "epsilon": ("--epsilon", float, {}),
+    "pool_targets": ("--pool-targets", parse_pool_targets,
+                     {"help": "per-stage targets, e.g. '13x13,5x5' or 'half,half'"}),
+    "train_limit": (None, int, {}),
+    "test_limit": (None, int, {}),
+    "data_root": ("--data-root", str, {}),
+    "output_dir": ("--output-dir", str, {}),
+}
 
 
 def parse_config_file(path) -> dict:
@@ -35,54 +69,18 @@ def parse_config_file(path) -> dict:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _FIELD_TYPES:
+        if key not in SETTINGS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = _coerce(key, value)
+        _, parse, _ = SETTINGS[key]
+        values[key] = parse(value)
     return values
-
-
-def _coerce(key: str, value: str):
-    if key in ("epochs", "batch_size", "seed", "train_limit", "test_limit"):
-        return int(value)
-    if key in ("val_fraction", "lr", "beta1", "beta2", "epsilon"):
-        return float(value)
-    if key == "pool_targets":
-        return parse_pool_targets(value)
-    return value
-
-
-def parse_pool_targets(text: str) -> tuple:
-    """Comma-separated per-stage targets, e.g. '13x13,5x5' or 'half,5x5'."""
-    stages = []
-    for part in text.split(","):
-        part = part.strip()
-        if part in ("half", "auto"):
-            stages.append(None)
-        else:
-            h, _, w = part.partition("x")
-            stages.append((int(h), int(w)))
-    return tuple(stages)
 
 
 def add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value config file")
-    parser.add_argument("--dataset",
-                        choices=["mnist_digits", "mnist_fashion", "cifar10", "synthetic"])
-    parser.add_argument("--variant", dest="pooling_variant", choices=["nirmal", "max2x2"])
-    parser.add_argument("--activation-placement", dest="activation_placement",
-                        choices=["after_conv", "pool_only"])
-    parser.add_argument("--epochs", type=int)
-    parser.add_argument("--batch-size", dest="batch_size", type=int)
-    parser.add_argument("--val-fraction", dest="val_fraction", type=float)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--lr", type=float)
-    parser.add_argument("--beta1", type=float)
-    parser.add_argument("--beta2", type=float)
-    parser.add_argument("--epsilon", type=float)
-    parser.add_argument("--pool-targets", dest="pool_targets", type=parse_pool_targets,
-                        help="per-stage targets, e.g. '13x13,5x5' or 'half,half'")
-    parser.add_argument("--data-root", dest="data_root")
-    parser.add_argument("--output-dir", dest="output_dir")
+    for name, (flag, parse, extras) in SETTINGS.items():
+        if flag is not None:
+            parser.add_argument(flag, dest=name, type=parse, **extras)
     parser.add_argument("--desk-scale", action="store_true",
                         help="subsample data and epochs for a fast run")
 
@@ -91,7 +89,7 @@ def build_config(args: argparse.Namespace) -> harness.RunConfig:
     values = {}
     if args.config:
         values.update(parse_config_file(args.config))
-    for name in _FIELD_TYPES:
+    for name in SETTINGS:
         flag = getattr(args, name, None)
         if flag is not None:
             values[name] = flag

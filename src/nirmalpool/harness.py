@@ -20,14 +20,14 @@ from . import nn, optim, pooling
 DATA_ROOT_ENV = "NIRMALPOOL_DATA_ROOT"
 CSV_HEADER = ["dataset", "variant", "seed", "epochs", "test_loss", "test_accuracy"]
 
-MNIST_FILES = {
-    "mnist_digits": ("train-images-idx3-ubyte", "train-labels-idx1-ubyte",
-                     "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"),
-    "mnist_fashion": ("train-images-idx3-ubyte", "train-labels-idx1-ubyte",
-                      "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"),
-}
+# Both MNIST sets ship the same four IDX files: train images and labels,
+# then test images and labels.
+MNIST_FILES = dict.fromkeys(("mnist_digits", "mnist_fashion"),
+                            ("train-images-idx3-ubyte", "train-labels-idx1-ubyte",
+                             "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"))
 CIFAR_TRAIN_FILES = [f"data_batch_{i}.bin" for i in range(1, 6)]
 CIFAR_TEST_FILES = ["test_batch.bin"]
+DATASETS = (*MNIST_FILES, "cifar10", "synthetic")
 
 
 class DataPathError(FileNotFoundError):
@@ -44,8 +44,8 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class RunConfig:
-    dataset: str = "mnist_digits"   # mnist_digits | mnist_fashion | cifar10 | synthetic
-    pooling_variant: str = "nirmal"  # nirmal | max2x2
+    dataset: str = "mnist_digits"   # one of DATASETS
+    pooling_variant: str = "nirmal"  # one of nn.VARIANTS
     activation_placement: str | None = None  # None -> variant default
     epochs: int = 10
     batch_size: int = 64
@@ -110,30 +110,23 @@ def load_dataset_pair(config: RunConfig) -> tuple[datasets.Dataset, datasets.Dat
     if config.dataset == "synthetic":
         return (datasets.synthetic_two_class(512, seed=config.seed, name="synthetic"),
                 datasets.synthetic_two_class(128, seed=config.seed + 1, name="synthetic"))
-    if config.dataset not in (*MNIST_FILES, "cifar10"):
+    if config.dataset not in DATASETS:
         raise ValueError(f"unknown dataset {config.dataset!r}")
-    root = _data_root(config)
-    if config.dataset in MNIST_FILES:
-        sub = root / config.dataset
-        names = MNIST_FILES[config.dataset]
-        paths = [sub / n for n in names]
-        missing = [p for p in paths if not p.exists()]
-        if missing:
-            raise DataPathError(
-                f"missing {config.dataset} files: {[str(p) for p in missing]}; "
-                f"place the four IDX files under {sub}")
-        return (datasets.load_mnist(paths[0], paths[1], config.dataset),
-                datasets.load_mnist(paths[2], paths[3], config.dataset))
-    sub = root / "cifar10"
-    train_paths = [sub / n for n in CIFAR_TRAIN_FILES]
-    test_paths = [sub / n for n in CIFAR_TEST_FILES]
-    missing = [p for p in train_paths + test_paths if not p.exists()]
+    if config.dataset == "cifar10":
+        names = (CIFAR_TRAIN_FILES, CIFAR_TEST_FILES)
+        load = datasets.load_cifar10
+    else:
+        files = MNIST_FILES[config.dataset]
+        names = (files[:2], files[2:])
+
+        def load(paths, name):
+            return datasets.load_mnist(*paths, name)
+    sub = _data_root(config) / config.dataset
+    splits = [[sub / n for n in split] for split in names]
+    missing = [str(p) for paths in splits for p in paths if not p.exists()]
     if missing:
-        raise DataPathError(
-            f"missing cifar10 files: {[str(p) for p in missing]}; "
-            f"place the binary batches under {sub}")
-    return (datasets.load_cifar10(train_paths, "cifar10"),
-            datasets.load_cifar10(test_paths, "cifar10"))
+        raise DataPathError(f"missing {config.dataset} files: {missing}; place them under {sub}")
+    return tuple(load(paths, config.dataset) for paths in splits)
 
 
 def build_model_spec(config: RunConfig, input_hw: tuple[int, int]) -> nn.ModelSpec:
@@ -165,12 +158,11 @@ def evaluate(spec: nn.ModelSpec, params: dict, dataset: datasets.Dataset,
 def train(config: RunConfig, verbose: bool = False) -> RunReport:
     """Train per the configured protocol and evaluate on the test set."""
     start_time = time.time()
-    if config.epochs < 0:
-        raise ValueError(f"epochs must be >= 0, got {config.epochs}")
-    for key in ("train_limit", "test_limit"):
-        limit = getattr(config, key)
-        if limit is not None and limit < 1:
-            raise ValueError(f"{key} must be >= 1 or unset, got {limit}")
+    for key, low, unset in (("epochs", 0, ""), ("batch_size", 1, ""),
+                            ("train_limit", 1, " or unset"), ("test_limit", 1, " or unset")):
+        value = getattr(config, key)
+        if not (unset and value is None) and value < low:
+            raise ValueError(f"{key} must be >= {low}{unset}, got {value}")
     optim.check_settings(config.lr, config.beta1, config.beta2, config.epsilon)
     train_full, test_set = load_dataset_pair(config)
     if config.train_limit is not None:
@@ -258,7 +250,7 @@ def compare(config: RunConfig, verbose: bool = False) -> dict[str, RunReport]:
     """Run both pooling variants under identical seed/config. A configured
     activation placement applies to both; None gives each its default."""
     return {variant: train(replace(config, pooling_variant=variant), verbose=verbose)
-            for variant in ("max2x2", "nirmal")}
+            for variant in nn.VARIANTS}
 
 
 def comparison_table(reports: dict[str, RunReport]) -> str:

@@ -38,6 +38,11 @@ BLOCK_BYTES = 1 << 20
 # Side of every convolution's square kernel.
 KERNEL_SIZE = 3
 
+# Pooling variants, in the order `harness.compare` runs them, and activation
+# placements.
+VARIANTS = ("max2x2", "nirmal")
+PLACEMENTS = ("after_conv", "pool_only")
+
 
 def _windows(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     """(B, OH, OW, kh, kw, Cin) view of every kh x kw window; one image's
@@ -166,9 +171,9 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float
 class ModelSpec:
     """Declarative description of the benchmark network."""
 
-    pooling_variant: str = "nirmal"          # "nirmal" | "max2x2"
-    # "after_conv" | "pool_only"; None takes the variant's default, pool_only
-    # for nirmal and after_conv for max2x2.
+    pooling_variant: str = "nirmal"          # one of VARIANTS
+    # One of PLACEMENTS; None takes the variant's default, pool_only for
+    # nirmal and after_conv for max2x2.
     activation_placement: str | None = None
     conv_filters: tuple[int, ...] = (32, 64)
     # Every dense layer but the last is followed by a ReLU; the last gives the logits.
@@ -178,12 +183,12 @@ class ModelSpec:
     pool_targets: tuple[tuple[int, int] | None, ...] = (None, None)
 
     def __post_init__(self):
-        if self.pooling_variant not in ("nirmal", "max2x2"):
+        if self.pooling_variant not in VARIANTS:
             raise ValueError(f"unknown pooling_variant {self.pooling_variant!r}")
         if self.activation_placement is None:
             object.__setattr__(self, "activation_placement",
                                "pool_only" if self.pooling_variant == "nirmal" else "after_conv")
-        if self.activation_placement not in ("after_conv", "pool_only"):
+        if self.activation_placement not in PLACEMENTS:
             raise ValueError(f"unknown activation_placement {self.activation_placement!r}")
         if not self.dense_units:
             raise ValueError("dense_units must hold at least the output layer")

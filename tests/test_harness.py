@@ -346,6 +346,23 @@ def test_cli_nonpositive_limit_exit_code(monkeypatch, tmp_path, capsys, key, val
     assert not reads and not out.exists()
 
 
+@pytest.mark.parametrize("value", [-5, 0])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_cli_nonpositive_batch_size_exit_code(monkeypatch, tmp_path, capsys, source, value):
+    """A batch size below 1 is rejected by name before any data is read, not
+    evaluated as an empty range of batches."""
+    reads = []
+    monkeypatch.setattr(harness, "load_dataset_pair", lambda config: reads.append(config))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"dataset = synthetic\nepochs = 0\nbatch_size = {value}\n")
+    args = (["--config", str(cfg)] if source == "config"
+            else ["--dataset", "synthetic", "--epochs", "0", "--batch-size", str(value)])
+    out = tmp_path / "out"
+    assert cli.main(["train", *args, "--output-dir", str(out)]) == cli.EXIT_CONFIG
+    assert f"batch_size must be >= 1, got {value}" in capsys.readouterr().err
+    assert not reads and not out.exists()
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--lr", "-1"), ("--lr", "nan"), ("--beta1", "1.0"), ("--beta2", "1.0"), ("--epsilon", "0"),
 ])
@@ -379,7 +396,7 @@ def test_cli_config_file_and_flag_override(tmp_path):
         desk_scale = False
 
     args = Args()
-    for name in cli._FIELD_TYPES:
+    for name in cli.SETTINGS:
         if not hasattr(args, name):
             setattr(args, name, None)
     config = cli.build_config(args)
@@ -419,3 +436,64 @@ def test_cli_config_file_errors(tmp_path):
 def test_parse_pool_targets():
     assert cli.parse_pool_targets("13x13,5x5") == ((13, 13), (5, 5))
     assert cli.parse_pool_targets("half,5x5") == (None, (5, 5))
+    for text in ("auto", "half,auto", "13", "13xhalf"):
+        with pytest.raises(ValueError):
+            cli.parse_pool_targets(text)
+
+
+# A value for every RunConfig field, unlike its default, as text.
+SETTING_TEXT = {
+    "dataset": "cifar10", "pooling_variant": "max2x2", "activation_placement": "pool_only",
+    "epochs": "3", "batch_size": "32", "val_fraction": "0.2", "seed": "7", "lr": "0.01",
+    "beta1": "0.8", "beta2": "0.99", "epsilon": "1e-08", "pool_targets": "13x13,half",
+    "train_limit": "50", "test_limit": "20", "data_root": "data", "output_dir": "out",
+}
+
+
+def test_settings_name_every_run_config_field_once():
+    names = [f.name for f in dataclasses.fields(harness.RunConfig)]
+    assert list(cli.SETTINGS) == names
+    assert sorted(SETTING_TEXT) == sorted(names)
+    assert [name for name, (flag, _, _) in cli.SETTINGS.items() if flag is None] == \
+        ["train_limit", "test_limit"]
+
+
+def asdict_without(config, name):
+    values = dataclasses.asdict(config)
+    del values[name]
+    return values
+
+
+@pytest.mark.parametrize("name", list(cli.SETTINGS))
+def test_setting_flag_and_config_line_build_equal_configs(tmp_path, name):
+    """A flag and a config-file line with the same text set the same field to
+    the same value; train_limit and test_limit have no flag."""
+    flag, _, _ = cli.SETTINGS[name]
+    parser = argparse.ArgumentParser()
+    cli.add_config_flags(parser)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{name} = {SETTING_TEXT[name]}\n")
+    from_file = cli.build_config(parser.parse_args(["--config", str(cfg)]))
+    assert from_file != harness.RunConfig()
+    assert asdict_without(from_file, name) == asdict_without(harness.RunConfig(), name)
+    if flag is None:
+        with pytest.raises(SystemExit):
+            parser.parse_args([f"--{name.replace('_', '-')}", SETTING_TEXT[name]])
+    else:
+        assert cli.build_config(parser.parse_args([flag, SETTING_TEXT[name]])) == from_file
+
+
+def test_fingerprints_are_stable():
+    """Report names carry the fingerprint, so it must not drift: the default
+    config and the three benchmark workloads' configs at seed 1, data root "data"."""
+    assert harness.RunConfig().fingerprint() == "23060e8a763aeced"
+    common = dict(batch_size=64, seed=1, data_root="data")
+    assert harness.RunConfig(
+        dataset="mnist_digits", pooling_variant="nirmal", activation_placement="pool_only",
+        **common).fingerprint() == "c0aebec5621eb16d"
+    assert harness.RunConfig(
+        dataset="cifar10", pooling_variant="nirmal", activation_placement="after_conv",
+        pool_targets=((14, 14), (5, 5)), **common).fingerprint() == "206b9a74fb5221d9"
+    assert harness.RunConfig(
+        dataset="mnist_digits", pooling_variant="max2x2", activation_placement="after_conv",
+        **common).fingerprint() == "92ad6eb7a987e21d"
