@@ -1,8 +1,8 @@
 """Command-line runner: train, compare, poolcheck, gradcheck.
 
 Config precedence: built-in defaults < config file (key=value lines) <
-command-line flags. The dataset root can also come from the
-NIRMALPOOL_DATA_ROOT environment variable.
+command-line flags; the data root can also come from NIRMALPOOL_DATA_ROOT.
+`harness.RunConfig` rejects a bad setting when built, before any data is read.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 divergence,
 1 failed checks (gradcheck).
@@ -93,13 +93,13 @@ def build_config(args: argparse.Namespace) -> harness.RunConfig:
         flag = getattr(args, name, None)
         if flag is not None:
             values[name] = flag
-    config = harness.RunConfig(**values)
     if getattr(args, "desk_scale", False):
-        if config.train_limit is None:
-            config.train_limit = 10000
-        if config.test_limit is None:
-            config.test_limit = 2000
-        config.epochs = min(config.epochs, 3)
+        values.setdefault("train_limit", 10000)
+        values.setdefault("test_limit", 2000)
+        values["epochs"] = min(values.get("epochs", harness.RunConfig.epochs), 3)
+    config = harness.RunConfig(**values)
+    if Path(config.output_dir).exists() and not Path(config.output_dir).is_dir():
+        raise ValueError(f"output_dir {config.output_dir!r} exists and is not a directory")
     return config
 
 

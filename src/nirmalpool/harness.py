@@ -42,7 +42,7 @@ class DivergenceError(RuntimeError):
         self.epoch = epoch
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     dataset: str = "mnist_digits"   # one of DATASETS
     pooling_variant: str = "nirmal"  # one of nn.VARIANTS
@@ -60,6 +60,19 @@ class RunConfig:
     test_limit: int | None = None
     data_root: str | None = None
     output_dir: str = "."
+
+    def __post_init__(self):  # reject every setting that cannot run, before any data is read
+        if self.dataset not in DATASETS:
+            raise ValueError(f"unknown dataset {self.dataset!r}")
+        for key, low, unset in (("epochs", 0, ""), ("batch_size", 1, ""), ("seed", 0, ""),
+                                ("train_limit", 1, " or unset"), ("test_limit", 1, " or unset")):
+            value = getattr(self, key)
+            if not (unset and value is None) and value < low:
+                raise ValueError(f"{key} must be >= {low}{unset}, got {value}")
+        if not 0.0 < self.val_fraction < 1.0:
+            raise ValueError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
+        optim.check_settings(self.lr, self.beta1, self.beta2, self.epsilon)
+        build_model_spec(self)  # ModelSpec judges variant, placement and targets
 
     def fingerprint(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True, default=str)
@@ -110,8 +123,6 @@ def load_dataset_pair(config: RunConfig) -> tuple[datasets.Dataset, datasets.Dat
     if config.dataset == "synthetic":
         return (datasets.synthetic_two_class(512, seed=config.seed, name="synthetic"),
                 datasets.synthetic_two_class(128, seed=config.seed + 1, name="synthetic"))
-    if config.dataset not in DATASETS:
-        raise ValueError(f"unknown dataset {config.dataset!r}")
     if config.dataset == "cifar10":
         names = (CIFAR_TRAIN_FILES, CIFAR_TEST_FILES)
         load = datasets.load_cifar10
@@ -129,7 +140,7 @@ def load_dataset_pair(config: RunConfig) -> tuple[datasets.Dataset, datasets.Dat
     return tuple(load(paths, config.dataset) for paths in splits)
 
 
-def build_model_spec(config: RunConfig, input_hw: tuple[int, int]) -> nn.ModelSpec:
+def build_model_spec(config: RunConfig, input_hw: tuple[int, int] | None = None) -> nn.ModelSpec:
     """Benchmark architecture sized for the dataset; a compact variant for
     the synthetic toy set, where 8x8 inputs cannot feed two pooling stages."""
     conv_filters, dense_units = (((8,), (32, 2)) if config.dataset == "synthetic"
@@ -156,14 +167,8 @@ def evaluate(spec: nn.ModelSpec, params: dict, dataset: datasets.Dataset,
 
 
 def train(config: RunConfig, verbose: bool = False) -> RunReport:
-    """Train per the configured protocol and evaluate on the test set."""
+    """Train and evaluate a config, which checked its settings when it was built."""
     start_time = time.time()
-    for key, low, unset in (("epochs", 0, ""), ("batch_size", 1, ""),
-                            ("train_limit", 1, " or unset"), ("test_limit", 1, " or unset")):
-        value = getattr(config, key)
-        if not (unset and value is None) and value < low:
-            raise ValueError(f"{key} must be >= {low}{unset}, got {value}")
-    optim.check_settings(config.lr, config.beta1, config.beta2, config.epsilon)
     train_full, test_set = load_dataset_pair(config)
     if config.train_limit is not None:
         train_full = train_full.subset(np.arange(min(config.train_limit, len(train_full))))

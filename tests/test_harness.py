@@ -95,10 +95,10 @@ def test_compare_deterministic():
 
 
 def test_compare_keeps_configured_placement(monkeypatch):
-    specs = []
-    build = harness.build_model_spec
-    monkeypatch.setattr(harness, "build_model_spec",
-                        lambda config, hw: specs.append(build(config, hw)) or specs[-1])
+    specs = []  # the spec each run trains with
+    init = nn.init_params
+    monkeypatch.setattr(nn, "init_params",
+                        lambda spec, *args, **kw: specs.append(spec) or init(spec, *args, **kw))
     reports = harness.compare(synth_config(epochs=1, activation_placement="pool_only"))
     assert [s.activation_placement for s in specs] == ["pool_only", "pool_only"]
     assert all(r.config["activation_placement"] == "pool_only" for r in reports.values())
@@ -174,6 +174,14 @@ def test_missing_files_hint(tmp_path, monkeypatch):
 
 # --- CLI ---
 
+@pytest.fixture
+def reads(monkeypatch):
+    """The configs that reached load_dataset_pair, which is patched to read nothing."""
+    calls = []
+    monkeypatch.setattr(harness, "load_dataset_pair", calls.append)
+    return calls
+
+
 def test_cli_train_writes_outputs(tmp_path, capsys):
     code = cli.main(["train", "--dataset", "synthetic", "--epochs", "1",
                      "--seed", "1", "--lr", "0.003",
@@ -234,47 +242,22 @@ def test_cli_empty_validation_split_exit_code(tmp_path):
         == cli.EXIT_CONFIG
 
 
-@pytest.mark.parametrize("dataset, targets", [("mnist_digits", "half,half,half"),
-                                               ("synthetic", "half,3x3,2x2")],
-                         ids=["mnist_digits", "synthetic"])
-def test_cli_more_pool_targets_than_stages_exit_code(tmp_path, dataset, targets):
-    rng = np.random.default_rng(0)
-    sub = tmp_path / "mnist_digits"
-    sub.mkdir()
-    names = harness.MNIST_FILES["mnist_digits"]
-    for images, labels, count in ((names[0], names[1], 20), (names[2], names[3], 4)):
-        data.write_idx_images(sub / images, rng.integers(0, 256, (count, 28, 28)))
-        data.write_idx_labels(sub / labels, rng.integers(0, 10, count))
-    code = cli.main(["train", "--dataset", dataset, "--data-root", str(tmp_path),
-                     "--pool-targets", targets, "--output-dir", str(tmp_path / "out")])
-    assert code == cli.EXIT_CONFIG
-    assert not (tmp_path / "out").exists()
-
-
-def test_cli_compare_bad_pool_target_exit_code(monkeypatch, tmp_path):
-    """A bad target is rejected before either variant trains, though the
+def test_cli_compare_bad_pool_target_exit_code(tmp_path, reads):
+    """A bad target is rejected before either variant reads data, though the
     max2x2 run, which goes first, ignores targets."""
-    def no_steps(*args):
-        raise AssertionError("a step ran before the bad pool target was rejected")
-
-    monkeypatch.setattr(nn, "model_forward", no_steps)
     code = cli.main(["compare", "--dataset", "synthetic", "--epochs", "1",
                      "--pool-targets", "0x0", "--output-dir", str(tmp_path / "out")])
     assert code == cli.EXIT_CONFIG
-    assert not (tmp_path / "out").exists()
+    assert not reads and not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("test_limit", [0, -1])
-def test_cli_empty_test_set_exit_code(monkeypatch, tmp_path, test_limit):
-    def no_epochs(*args):
-        raise AssertionError("an epoch started before the empty test set was rejected")
-
-    monkeypatch.setattr(harness.datasets, "batches", no_epochs)
+def test_cli_empty_test_set_exit_code(tmp_path, reads, test_limit):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"dataset = synthetic\ntest_limit = {test_limit}\n")
     assert cli.main(["train", "--config", str(cfg), "--output-dir", str(tmp_path / "out")]) \
         == cli.EXIT_CONFIG
-    assert not (tmp_path / "out").exists()
+    assert not reads and not (tmp_path / "out").exists()
 
 
 def test_cli_empty_test_files_exit_code(tmp_path, capsys):
@@ -309,73 +292,86 @@ def test_cli_unknown_dataset_exit_code_without_data_root(monkeypatch, tmp_path, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("epochs, expected", [(-2, cli.EXIT_CONFIG), (0, cli.EXIT_OK)])
-@pytest.mark.parametrize("source", ["flag", "config"])
-def test_cli_negative_epochs_exit_code(monkeypatch, tmp_path, source, epochs, expected):
-    """Negative epochs are rejected before any data is read; zero epochs
-    evaluate the initial model."""
-    reads = []
-    load = harness.load_dataset_pair
-
-    def counted_load(config):
-        reads.append(config.dataset)
-        return load(config)
-
-    monkeypatch.setattr(harness, "load_dataset_pair", counted_load)
+def cli_args(tmp_path, source, settings):
+    """Command-line arguments that give `settings` as flags or in a config file."""
+    if source == "flag":
+        return [text for key, value in settings.items() for text in (cli.SETTINGS[key][0], value)]
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"dataset = synthetic\nepochs = {epochs}\n")
-    args = (["--config", str(cfg)] if source == "config"
-            else ["--dataset", "synthetic", "--epochs", str(epochs)])
-    out = tmp_path / "out"
-    assert cli.main(["train", *args, "--output-dir", str(out)]) == expected
-    assert out.exists() == bool(reads) == (expected == cli.EXIT_OK)
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in settings.items()))
+    return ["--config", str(cfg)]
 
 
-@pytest.mark.parametrize("key, value", [("train_limit", -5), ("train_limit", 0),
-                                        ("test_limit", -1), ("test_limit", 0)])
-def test_cli_nonpositive_limit_exit_code(monkeypatch, tmp_path, capsys, key, value):
-    """A train or test limit below 1 is rejected by name before any data is
-    read, not reported as an empty split."""
-    reads = []
-    monkeypatch.setattr(harness, "load_dataset_pair", lambda config: reads.append(config))
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"dataset = synthetic\n{key} = {value}\n")
-    out = tmp_path / "out"
-    assert cli.main(["train", "--config", str(cfg), "--output-dir", str(out)]) == cli.EXIT_CONFIG
-    assert f"{key} must be >= 1 or unset, got {value}" in capsys.readouterr().err
-    assert not reads and not out.exists()
+def rejected(source, message, **settings):
+    ident = "-".join([source, *(f"{key}={value}" for key, value in settings.items())])
+    return pytest.param(source, settings, message, id=ident)
 
 
-@pytest.mark.parametrize("value", [-5, 0])
-@pytest.mark.parametrize("source", ["flag", "config"])
-def test_cli_nonpositive_batch_size_exit_code(monkeypatch, tmp_path, capsys, source, value):
-    """A batch size below 1 is rejected by name before any data is read, not
-    evaluated as an empty range of batches."""
-    reads = []
-    monkeypatch.setattr(harness, "load_dataset_pair", lambda config: reads.append(config))
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"dataset = synthetic\nepochs = 0\nbatch_size = {value}\n")
-    args = (["--config", str(cfg)] if source == "config"
-            else ["--dataset", "synthetic", "--epochs", "0", "--batch-size", str(value)])
+BOTH = ("flag", "config")
+# Settings that RunConfig rejects when it is built, as a flag or a config-file
+# line, over a synthetic run unless the row names another dataset.
+REJECTED_WHEN_BUILT = [
+    *(rejected(source, "epochs must be >= 0, got -2", epochs="-2") for source in BOTH),
+    *(rejected(source, f"batch_size must be >= 1, got {value}", batch_size=value)
+      for source in BOTH for value in ("-5", "0")),
+    *(rejected(source, "seed must be >= 0, got -1", seed="-1") for source in BOTH),
+    *(rejected("config", f"{key} must be >= 1 or unset, got {value}", **{key: value})
+      for key, value in (("train_limit", "-5"), ("train_limit", "0"),
+                         ("test_limit", "-1"), ("test_limit", "0"))),
+    *(rejected(source, f"val_fraction must be in (0, 1), got {value}", val_fraction=text)
+      for source in BOTH for text, value in (("1.5", 1.5), ("0", 0.0))),
+    rejected("flag", "lr must be finite and > 0, got -1.0", lr="-1"),
+    rejected("flag", "lr must be finite and > 0, got nan", lr="nan"),
+    rejected("flag", "beta1 must lie in [0, 1), got 1.0", beta1="1.0"),
+    rejected("flag", "beta2 must lie in [0, 1), got 1.0", beta2="1.0"),
+    rejected("flag", "epsilon must be finite and > 0, got 0.0", epsilon="0"),
+    rejected("config", "unknown pooling_variant 'nirmall'", pooling_variant="nirmall"),
+    rejected("config", "unknown activation_placement 'poolonly'",
+             activation_placement="poolonly"),
+    rejected("flag", "3 pool_targets for 2 conv stages",
+             dataset="mnist_digits", pool_targets="half,half,half"),
+    rejected("flag", "3 pool_targets for 1 conv stages", pool_targets="half,3x3,2x2"),
+    rejected("config", "3 pool_targets for 1 conv stages", pool_targets="half,half,half"),
+]
+
+
+@pytest.mark.parametrize("source, settings, message", REJECTED_WHEN_BUILT)
+def test_cli_rejects_setting_before_any_data_is_read(tmp_path, capsys, reads,
+                                                     source, settings, message):
+    """A setting that cannot run exits 2 and is named, with no data read and
+    no output directory made."""
+    args = cli_args(tmp_path, source, {"dataset": "synthetic", **settings})
     out = tmp_path / "out"
     assert cli.main(["train", *args, "--output-dir", str(out)]) == cli.EXIT_CONFIG
-    assert f"batch_size must be >= 1, got {value}" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not reads and not out.exists()
 
 
-@pytest.mark.parametrize("flag, value", [
-    ("--lr", "-1"), ("--lr", "nan"), ("--beta1", "1.0"), ("--beta2", "1.0"), ("--epsilon", "0"),
-])
-def test_cli_bad_adam_setting_exit_code(monkeypatch, tmp_path, flag, value):
-    """An Adam setting that would ascend or divide 0 by 0 is a config error,
-    raised before any data is read."""
-    reads = []
-    monkeypatch.setattr(harness, "load_dataset_pair", lambda config: reads.append(config))
+@pytest.mark.parametrize("source", BOTH)
+def test_cli_zero_epochs_evaluates_the_initial_model(tmp_path, source):
+    args = cli_args(tmp_path, source, {"dataset": "synthetic", "epochs": "0"})
     out = tmp_path / "out"
-    args = ["train", "--dataset", "synthetic", "--epochs", "1", flag, value,
-            "--output-dir", str(out)]
-    assert cli.main(args) == cli.EXIT_CONFIG
-    assert not reads and not out.exists()
+    assert cli.main(["train", *args, "--output-dir", str(out)]) == cli.EXIT_OK
+    [report_path] = out.glob("*.report.json")
+    assert harness.RunReport.from_json(report_path.read_text()).epochs == []
+
+
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_cli_output_dir_that_is_a_file_exit_code(tmp_path, capsys, reads, command):
+    """An output_dir that is an existing file is rejected before any data is
+    read, and the file is left as it was."""
+    out = tmp_path / "out"
+    out.write_text("not a directory\n")
+    assert cli.main([command, "--output-dir", str(out)]) == cli.EXIT_CONFIG
+    assert f"output_dir {str(out)!r} exists and is not a directory" in capsys.readouterr().err
+    assert not reads and out.read_text() == "not a directory\n"
+
+
+def test_run_config_is_frozen_and_checked_on_replace():
+    config = harness.RunConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.epochs = 3
+    with pytest.raises(ValueError, match="batch_size must be >= 1, got 0"):
+        dataclasses.replace(config, batch_size=0)
 
 
 def test_cli_missing_data_exit_code(monkeypatch, capsys):
@@ -384,41 +380,41 @@ def test_cli_missing_data_exit_code(monkeypatch, capsys):
     assert code == cli.EXIT_DATA
 
 
+def build(*argv):
+    """The RunConfig that `train` builds from the arguments `argv`."""
+    parser = argparse.ArgumentParser()
+    cli.add_config_flags(parser)
+    return cli.build_config(parser.parse_args(argv))
+
+
 def test_cli_config_file_and_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("dataset = synthetic\nepochs = 5\nseed = 9  # comment\n")
     values = cli.parse_config_file(cfg)
     assert values == {"dataset": "synthetic", "epochs": 5, "seed": 9}
 
-    class Args:
-        config = str(cfg)
-        epochs = 2  # flag overrides file
-        desk_scale = False
-
-    args = Args()
-    for name in cli.SETTINGS:
-        if not hasattr(args, name):
-            setattr(args, name, None)
-    config = cli.build_config(args)
-    assert config.dataset == "synthetic"
-    assert config.epochs == 2
-    assert config.seed == 9
+    config = build("--config", str(cfg), "--epochs", "2")  # the flag overrides the file
+    assert (config.dataset, config.epochs, config.seed) == ("synthetic", 2, 9)
 
 
 @pytest.mark.parametrize("text, expected", [
     ("", (10000, 2000, 3)),
-    ("train_limit = 0\ntest_limit = -1\nepochs = 2\n", (0, -1, 2)),
+    ("train_limit = 0\ntest_limit = -1\nepochs = 2\n",
+     ValueError("train_limit must be >= 1 or unset, got 0")),
     ("train_limit = 50\nepochs = 7\n", (50, 2000, 3)),
 ])
 def test_cli_desk_scale_fills_only_unset_limits(tmp_path, text, expected):
     """--desk-scale sets the limits a config left unset and caps epochs at 3;
-    an explicit limit, even an invalid one, is kept for train to judge."""
+    an explicit limit is kept, and an invalid one is rejected as without it."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text("dataset = synthetic\n" + text)
-    parser = argparse.ArgumentParser()
-    cli.add_config_flags(parser)
-    config = cli.build_config(parser.parse_args(["--config", str(cfg), "--desk-scale"]))
-    assert (config.train_limit, config.test_limit, config.epochs) == expected
+    argv = ("--config", str(cfg), "--desk-scale")
+    if isinstance(expected, ValueError):
+        with pytest.raises(ValueError, match=str(expected)):
+            build(*argv)
+    else:
+        config = build(*argv)
+        assert (config.train_limit, config.test_limit, config.epochs) == expected
 
 
 def test_cli_config_file_errors(tmp_path):
@@ -469,18 +465,16 @@ def test_setting_flag_and_config_line_build_equal_configs(tmp_path, name):
     """A flag and a config-file line with the same text set the same field to
     the same value; train_limit and test_limit have no flag."""
     flag, _, _ = cli.SETTINGS[name]
-    parser = argparse.ArgumentParser()
-    cli.add_config_flags(parser)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{name} = {SETTING_TEXT[name]}\n")
-    from_file = cli.build_config(parser.parse_args(["--config", str(cfg)]))
+    from_file = build("--config", str(cfg))
     assert from_file != harness.RunConfig()
     assert asdict_without(from_file, name) == asdict_without(harness.RunConfig(), name)
     if flag is None:
         with pytest.raises(SystemExit):
-            parser.parse_args([f"--{name.replace('_', '-')}", SETTING_TEXT[name]])
+            build(f"--{name.replace('_', '-')}", SETTING_TEXT[name])
     else:
-        assert cli.build_config(parser.parse_args([flag, SETTING_TEXT[name]])) == from_file
+        assert build(flag, SETTING_TEXT[name]) == from_file
 
 
 def test_fingerprints_are_stable():
