@@ -12,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import gradcheck, harness, nn
+from . import data, gradcheck, harness, nn
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -97,10 +97,7 @@ def build_config(args: argparse.Namespace) -> harness.RunConfig:
         values.setdefault("train_limit", 10000)
         values.setdefault("test_limit", 2000)
         values["epochs"] = min(values.get("epochs", harness.RunConfig.epochs), 3)
-    config = harness.RunConfig(**values)
-    if Path(config.output_dir).exists() and not Path(config.output_dir).is_dir():
-        raise ValueError(f"output_dir {config.output_dir!r} exists and is not a directory")
-    return config
+    return harness.RunConfig(**values)
 
 
 def cmd_train(args) -> int:
@@ -170,7 +167,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except harness.DataPathError as exc:
+    except (harness.DataPathError, data.FormatError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except harness.DivergenceError as exc:

@@ -26,7 +26,8 @@ CIFAR_RECORD_BYTES = 3073
 
 
 class FormatError(ValueError):
-    """Malformed dataset file (bad magic, truncated, wrong record size)."""
+    """Malformed dataset file (bad magic, truncated, wrong record size, a
+    label outside 0-9)."""
 
 
 def _normalize(raw) -> np.ndarray:
@@ -148,7 +149,7 @@ def load_mnist(images_path, labels_path, name: str = "mnist") -> Dataset:
     raw = load_idx_images(images_path)
     labels = load_idx_labels(labels_path)
     if labels.max(initial=0) > 9:
-        raise ValueError(f"label out of range: {labels.max()}")
+        raise FormatError(f"{labels_path}: label out of range: {labels.max()}")
     return Dataset(ByteImages(raw[..., None]), labels.astype(np.int64), name)
 
 
@@ -165,7 +166,7 @@ def load_cifar10(paths: Sequence, name: str = "cifar10") -> Dataset:
         records = np.frombuffer(data, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
         batch_labels = records[:, 0]
         if len(batch_labels) and batch_labels.max() > 9:
-            raise ValueError(f"{path}: label out of range: {batch_labels.max()}")
+            raise FormatError(f"{path}: label out of range: {batch_labels.max()}")
         files.append(records)
     n = sum(len(records) for records in files)
     images, labels = np.empty((n, 32, 32, 3), np.uint8), np.empty(n, np.int64)

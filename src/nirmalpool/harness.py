@@ -28,6 +28,8 @@ MNIST_FILES = dict.fromkeys(("mnist_digits", "mnist_fashion"),
 CIFAR_TRAIN_FILES = [f"data_batch_{i}.bin" for i in range(1, 6)]
 CIFAR_TEST_FILES = ["test_batch.bin"]
 DATASETS = (*MNIST_FILES, "cifar10", "synthetic")
+# The (H, W, C) that each file-backed dataset's images must decode to.
+IMAGE_SHAPES = {**dict.fromkeys(MNIST_FILES, (28, 28, 1)), "cifar10": (32, 32, 3)}
 
 
 class DataPathError(FileNotFoundError):
@@ -73,6 +75,15 @@ class RunConfig:
             raise ValueError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
         optim.check_settings(self.lr, self.beta1, self.beta2, self.epsilon)
         build_model_spec(self)  # ModelSpec judges variant, placement and targets
+        # The nearest existing path at or above output_dir must be a directory,
+        # or write_report could not make it once training is done.
+        out = Path(self.output_dir)
+        existing = next((p for p in (out, *out.parents) if p.exists()), None)
+        if existing is not None and not existing.is_dir():
+            raise ValueError(f"output_dir {self.output_dir!r} exists and is not a directory"
+                             if existing == out else
+                             f"output_dir {self.output_dir!r} is below {str(existing)!r}, "
+                             f"which is not a directory")
 
     def fingerprint(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True, default=str)
@@ -119,7 +130,8 @@ def _data_root(config: RunConfig) -> Path:
 
 
 def load_dataset_pair(config: RunConfig) -> tuple[datasets.Dataset, datasets.Dataset]:
-    """(train, test) datasets for the configured benchmark."""
+    """(train, test) datasets for the configured benchmark. A split whose
+    images are not the dataset's IMAGE_SHAPES entry raises FormatError."""
     if config.dataset == "synthetic":
         return (datasets.synthetic_two_class(512, seed=config.seed, name="synthetic"),
                 datasets.synthetic_two_class(128, seed=config.seed + 1, name="synthetic"))
@@ -137,7 +149,15 @@ def load_dataset_pair(config: RunConfig) -> tuple[datasets.Dataset, datasets.Dat
     missing = [str(p) for paths in splits for p in paths if not p.exists()]
     if missing:
         raise DataPathError(f"missing {config.dataset} files: {missing}; place them under {sub}")
-    return tuple(load(paths, config.dataset) for paths in splits)
+    pair = []
+    for paths in splits:
+        dataset = load(paths, config.dataset)
+        shape, expected = dataset.images.shape[1:], IMAGE_SHAPES[config.dataset]
+        if shape != expected:
+            raise datasets.FormatError(f"{paths[0]}: {config.dataset} images are {shape}, "
+                                       f"expected {expected}")
+        pair.append(dataset)
+    return tuple(pair)
 
 
 def build_model_spec(config: RunConfig, input_hw: tuple[int, int] | None = None) -> nn.ModelSpec:

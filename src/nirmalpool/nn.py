@@ -17,6 +17,15 @@ A pool places windows only where they fit whole. `plan` works out each
 stage's geometry from the spec and the input shape alone, and each conv
 computes only the part of its output that the pool's windows read; the
 input gradient of the rest is zero.
+
+`model_forward` and `model_backward` run the conv stages one micro-batch of
+whole images at a time, every stage on a micro-batch before the next
+micro-batch starts (layer fusion, Alwani et al., "Fused-Layer CNN
+Accelerators", MICRO 2016, here at batch level). A stage's conv output and
+its gradient exist only for the micro-batch in hand, within
+MICRO_BATCH_BYTES, so no full-batch conv output or conv-output gradient is
+built; only the pooled maps and the pools' winning offsets are kept for the
+whole batch.
 """
 
 import math
@@ -35,6 +44,10 @@ from .tensor import Shape4, elementwise_relu
 # full-batch im2col matrix is built.
 BLOCK_BYTES = 1 << 20
 
+# Upper bound, in bytes, on any stage's conv output for one micro-batch of
+# whole images: a 2 MiB per-core L2 cache.
+MICRO_BATCH_BYTES = 2 << 20
+
 # Side of every convolution's square kernel.
 KERNEL_SIZE = 3
 
@@ -51,13 +64,11 @@ def _windows(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     return sliding_window_view(x, (kh, kw), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
 
 
-def _blocks(windows: np.ndarray) -> list[slice]:
-    """Slices of whole images whose im2col rows fit in BLOCK_BYTES (at least
-    one image per block); the last block may be ragged."""
-    b = windows.shape[0]
-    per_image = math.prod(windows.shape[1:]) * windows.itemsize
-    step = max(1, BLOCK_BYTES // max(1, per_image))
-    return [slice(lo, min(lo + step, b)) for lo in range(0, b, step)]
+def _image_slices(count: int, per_image: int, budget: int) -> list[slice]:
+    """Slices of `count` whole images, as many per slice as fit in `budget`
+    bytes at `per_image` bytes each (at least one); the last may be ragged."""
+    step = max(1, budget // max(1, per_image))
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
 def _im2col(windows: np.ndarray):
@@ -66,7 +77,9 @@ def _im2col(windows: np.ndarray):
     bias, and cols^T @ grad_out yields grad_bias as its last row. All blocks
     are copied into one reused buffer."""
     oh, ow, k = windows.shape[1], windows.shape[2], math.prod(windows.shape[3:])
-    blocks = _blocks(windows)
+    # Blocks of whole images whose im2col rows fit in BLOCK_BYTES.
+    blocks = _image_slices(windows.shape[0], math.prod(windows.shape[1:]) * windows.itemsize,
+                           BLOCK_BYTES)
     rows = (blocks[0].stop - blocks[0].start) * oh * ow if blocks else 0
     buf = np.empty((rows, k + 1), windows.dtype)
     buf[:, k] = 1.0
@@ -261,21 +274,56 @@ class ForwardCache:
     pool_caches: list[pooling.PoolCache] = field(default_factory=list)
     flat_input_shape: tuple[int, ...] | None = None
     dense_inputs: list[np.ndarray] = field(default_factory=list)
+    # The micro-batches of images the conv stages ran on, in order.
+    micro_batches: list[slice] = field(default_factory=list)
+
+
+def _pool_cache_images(pc: pooling.PoolCache, images: slice) -> pooling.PoolCache:
+    """The part of a whole-batch pool cache that covers `images`."""
+    return pooling.PoolCache(pc.win[images], pc.params,
+                             Shape4(images.stop - images.start, *pc.input_shape[1:]),
+                             None if pc.relu_out is None else pc.relu_out[images])
 
 
 def model_forward(spec: ModelSpec, params: dict[str, np.ndarray],
                   batch: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Compose the network; returns logits and the caches backward needs."""
-    cache = ForwardCache()
-    x = batch
-    for idx, stage in enumerate(plan(spec, batch.shape), start=1):
-        cache.conv_inputs.append(x)
-        rows, cols = stage.reads
-        x = conv2d_forward(x if x.shape[1:3] == stage.reads else x[:, :rows, :cols],
-                           params[f"conv{idx}_w"], params[f"conv{idx}_b"])
-        x, pc = (pooling.nirmal_forward(x, *stage.target) if stage.target is not None
-                 else pooling.max_pool2x2_forward(x, relu=stage.relu))
-        cache.pool_caches.append(pc)
+    """Compose the network; returns logits and the caches backward needs.
+
+    Each micro-batch runs through every conv stage before the next starts;
+    its pooled maps and winning offsets are written into whole-batch arrays,
+    so the caches are those of the whole batch run at once. A batch that
+    fits in one micro-batch runs on the stage input arrays themselves.
+    """
+    stages = plan(spec, batch.shape)
+    b = batch.shape[0]
+    # A stage's conv output covers its pool's footprint.
+    per_image = max([math.prod(s.pool.footprint) * filters
+                     for s, filters in zip(stages, spec.conv_filters)], default=0)
+    cache = ForwardCache(micro_batches=_image_slices(b, per_image * batch.itemsize,
+                                                     MICRO_BATCH_BYTES))
+    whole = len(cache.micro_batches) == 1
+    maps = [batch]  # each stage's input, then the last stage's pooled output
+    for images in cache.micro_batches:
+        for idx, stage in enumerate(stages, start=1):
+            x = maps[idx - 1] if whole else maps[idx - 1][images]
+            rows, cols = stage.reads
+            x = conv2d_forward(x if x.shape[1:3] == stage.reads else x[:, :rows, :cols],
+                               params[f"conv{idx}_w"], params[f"conv{idx}_b"])
+            x, pc = (pooling.nirmal_forward(x, *stage.target) if stage.target is not None
+                     else pooling.max_pool2x2_forward(x, relu=stage.relu))
+            if whole:
+                maps.append(x)
+                cache.pool_caches.append(pc)
+                continue
+            if images.start == 0:
+                maps.append(np.empty((b, *x.shape[1:]), x.dtype))
+                cache.pool_caches.append(pooling.PoolCache(
+                    np.empty((b, *pc.win.shape[1:]), pc.win.dtype), pc.params,
+                    Shape4(b, *pc.input_shape[1:]), None if pc.relu_out is None else maps[-1]))
+            maps[idx][images] = x
+            cache.pool_caches[idx - 1].win[images] = pc.win
+    cache.conv_inputs = maps[:-1]
+    x = maps[-1]
     cache.flat_input_shape = x.shape
     x = x.reshape(x.shape[0], -1)
     last = len(spec.dense_units)
@@ -289,7 +337,9 @@ def model_forward(spec: ModelSpec, params: dict[str, np.ndarray],
 
 def model_backward(spec: ModelSpec, params: dict[str, np.ndarray], cache: ForwardCache,
                    grad_logits: np.ndarray) -> dict[str, np.ndarray]:
-    """Gradients for every parameter tensor, mirroring model_forward."""
+    """Gradients for every parameter tensor, mirroring model_forward: the
+    conv stages run backward over the same micro-batches, and each conv's
+    gradients are summed over them."""
     grads: dict[str, np.ndarray] = {}
     g = grad_logits
     for idx in range(len(spec.dense_units), 0, -1):
@@ -299,12 +349,23 @@ def model_backward(spec: ModelSpec, params: dict[str, np.ndarray], cache: Forwar
         if idx > 1:
             # x is the previous layer's ReLU output: positive exactly where its input was.
             g = g * (x > 0.0)
-    g = g.reshape(cache.flat_input_shape)
-    for idx in range(len(spec.conv_filters), 0, -1):
-        g = pooling.nirmal_backward(g, cache.pool_caches[idx - 1])
-        # g covers the pool's input, the part of the conv output that was
-        # computed; conv2d_backward gives the rest of x zero gradient.
-        # Nothing reads the gradient w.r.t. the network input.
-        g, grads[f"conv{idx}_w"], grads[f"conv{idx}_b"] = conv2d_backward(
-            cache.conv_inputs[idx - 1], params[f"conv{idx}_w"], g, need_grad_x=idx > 1)
+    pooled_grad = g.reshape(cache.flat_input_shape)
+    whole = len(cache.micro_batches) == 1
+    for images in cache.micro_batches:
+        g = pooled_grad if whole else pooled_grad[images]
+        for idx in range(len(spec.conv_filters), 0, -1):
+            pc, x = cache.pool_caches[idx - 1], cache.conv_inputs[idx - 1]
+            if not whole:
+                pc, x = _pool_cache_images(pc, images), x[images]
+            g = pooling.nirmal_backward(g, pc)
+            # g covers the pool's input, the part of the conv output that was
+            # computed; conv2d_backward gives the rest of x zero gradient.
+            # Nothing reads the gradient w.r.t. the network input.
+            g, grad_w, grad_b = conv2d_backward(x, params[f"conv{idx}_w"], g,
+                                                need_grad_x=idx > 1)
+            if images.start == 0:
+                grads[f"conv{idx}_w"], grads[f"conv{idx}_b"] = grad_w, grad_b
+            else:
+                grads[f"conv{idx}_w"] += grad_w
+                grads[f"conv{idx}_b"] += grad_b
     return grads

@@ -277,6 +277,70 @@ def test_cli_empty_test_files_exit_code(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("split", [0, 1], ids=["train", "test"])
+def test_cli_wrong_image_shape_is_a_data_error(tmp_path, capsys, split):
+    """IDX files of 20x20 images under an MNIST set exit 3 (data), naming the
+    shape found and the shape expected, and write no output."""
+    rng = np.random.default_rng(0)
+    sub = tmp_path / "mnist_digits"
+    sub.mkdir()
+    names = harness.MNIST_FILES["mnist_digits"]
+    for index, (images, labels) in enumerate(((names[0], names[1]), (names[2], names[3]))):
+        side = 20 if index == split else 28
+        data.write_idx_images(sub / images, rng.integers(0, 256, (16, side, side)))
+        data.write_idx_labels(sub / labels, rng.integers(0, 10, 16))
+    code = cli.main(["train", "--dataset", "mnist_digits", "--data-root", str(tmp_path),
+                     "--epochs", "1", "--output-dir", str(tmp_path / "out")])
+    assert code == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert "mnist_digits images are (20, 20, 1), expected (28, 28, 1)" in err
+    assert str(sub / names[2 * split]) in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_load_dataset_pair_rejects_cifar_images_of_another_shape(tmp_path, monkeypatch):
+    """The shape check covers CIFAR-10 too, whatever the loader decodes."""
+    sub = tmp_path / "cifar10"
+    sub.mkdir()
+    for name in harness.CIFAR_TRAIN_FILES + harness.CIFAR_TEST_FILES:
+        (sub / name).write_bytes(b"")
+    monkeypatch.setattr(data, "load_cifar10", lambda paths, name: data.Dataset(
+        data.ByteImages(np.zeros((2, 28, 28, 3), np.uint8)), np.zeros(2, np.int64), name))
+    config = harness.RunConfig(dataset="cifar10", data_root=str(tmp_path))
+    with pytest.raises(data.FormatError, match=r"cifar10 images are \(28, 28, 3\), "
+                                               r"expected \(32, 32, 3\)"):
+        harness.load_dataset_pair(config)
+
+
+def _write_mnist_label_12(sub):
+    rng = np.random.default_rng(0)
+    names = harness.MNIST_FILES["mnist_digits"]
+    for images, labels in (names[:2], names[2:]):
+        data.write_idx_images(sub / images, rng.integers(0, 256, (16, 28, 28)))
+        data.write_idx_labels(sub / labels, np.full(16, 12))
+
+
+def _write_truncated_mnist(sub):
+    for name in harness.MNIST_FILES["mnist_digits"]:
+        (sub / name).write_bytes(b"\x00\x00")
+
+
+@pytest.mark.parametrize("write, message", [
+    (_write_truncated_mnist, "truncated header"),
+    (_write_mnist_label_12, "train-labels-idx1-ubyte: label out of range: 12"),
+], ids=["truncated", "label_out_of_range"])
+def test_cli_malformed_data_file_is_a_data_error(tmp_path, capsys, write, message):
+    """A data.FormatError exits 3 (data), not 2, and writes no output."""
+    sub = tmp_path / "mnist_digits"
+    sub.mkdir()
+    write(sub)
+    code = cli.main(["train", "--dataset", "mnist_digits", "--data-root", str(tmp_path),
+                     "--output-dir", str(tmp_path / "out")])
+    assert code == cli.EXIT_DATA
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_unknown_dataset_exit_code_without_data_root(monkeypatch, tmp_path, capsys):
     """A dataset typo is a config error, not a missing data root, whether it
     comes from the config file or from --dataset."""
@@ -364,6 +428,29 @@ def test_cli_output_dir_that_is_a_file_exit_code(tmp_path, capsys, reads, comman
     assert cli.main([command, "--output-dir", str(out)]) == cli.EXIT_CONFIG
     assert f"output_dir {str(out)!r} exists and is not a directory" in capsys.readouterr().err
     assert not reads and out.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("command", ["train", "compare"])
+@pytest.mark.parametrize("source", BOTH)
+@pytest.mark.parametrize("below", ["sub", "sub/deeper"])
+def test_cli_output_dir_below_a_file_exit_code(tmp_path, capsys, reads, command, source, below):
+    """An output_dir below an existing file, which no run could make, is
+    rejected before any data is read, and the file is left as it was."""
+    blocker = tmp_path / "out"
+    blocker.write_text("not a directory\n")
+    out = blocker / below
+    args = cli_args(tmp_path, source, {"dataset": "synthetic", "output_dir": str(out)})
+    assert cli.main([command, *args]) == cli.EXIT_CONFIG
+    assert (f"output_dir {str(out)!r} is below {str(blocker)!r}, which is not a directory"
+            in capsys.readouterr().err)
+    assert not reads and blocker.read_text() == "not a directory\n"
+
+
+def test_run_config_accepts_an_output_dir_yet_to_be_made(tmp_path):
+    """Missing directories below an existing one are made when the report is written."""
+    out = tmp_path / "a" / "b"
+    assert harness.RunConfig(dataset="synthetic", output_dir=str(out)).output_dir == str(out)
+    assert not (tmp_path / "a").exists()
 
 
 def test_run_config_is_frozen_and_checked_on_replace():

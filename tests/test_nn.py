@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -570,6 +571,101 @@ def test_uncropped_conv_reads_its_input_itself(monkeypatch):
     _, cache = nn.model_forward(spec, params, batch)
     assert len(inputs) == 2
     assert all(x is stage_input for x, stage_input in zip(inputs, cache.conv_inputs))
+
+
+def _conv_output_bytes_per_image(spec, shape):
+    """The largest conv output one image needs at any stage: its pool's footprint."""
+    return max(math.prod(stage.pool.footprint) * filters * 8
+               for stage, filters in zip(nn.plan(spec, shape), spec.conv_filters))
+
+
+# Both variants and placements, and the CIFAR targets whose overlapping pools
+# read less than each conv's output.
+MICRO_BATCH_SPECS = [
+    pytest.param(nn.ModelSpec(), (7, 28, 28, 1), id="nirmal_pool_only"),
+    pytest.param(nn.ModelSpec(activation_placement="after_conv"), (7, 28, 28, 1),
+                 id="nirmal_after_conv"),
+    pytest.param(nn.ModelSpec(pooling_variant="max2x2"), (7, 28, 28, 1), id="max2x2_after_conv"),
+    pytest.param(nn.ModelSpec(pooling_variant="max2x2", activation_placement="pool_only"),
+                 (7, 28, 28, 1), id="max2x2_pool_only"),
+    pytest.param(nn.ModelSpec(activation_placement="after_conv", pool_targets=((14, 14), (5, 5))),
+                 (7, 32, 32, 3), id="cifar_targets"),
+]
+
+
+@pytest.mark.parametrize("spec, shape", MICRO_BATCH_SPECS)
+def test_micro_batches_are_the_whole_batch_network(monkeypatch, spec, shape):
+    """A batch of 7 split into micro-batches of 3, 3 and 1 images gives the
+    logits, pooled maps and winning offsets of one micro-batch bitwise, and
+    its gradients to 1e-12, the conv gradients being summed in another order.
+    The stages run micro-batch by micro-batch, forward and backward."""
+    rng = np.random.default_rng(23)
+    params = {k: v + 0.1 * rng.standard_normal(v.shape)  # nonzero biases
+              for k, v in nn.init_params(spec, Shape4(*shape), seed=23).items()}
+    batch, labels = rng.normal(size=shape), rng.integers(0, 10, shape[0])
+    stage_of = {id(params[f"conv{i}_w"]): i for i in (1, 2)}
+    calls = []
+    forward, backward = nn.conv2d_forward, nn.conv2d_backward
+
+    def forward_spy(x, kernels, bias):
+        calls.append(("forward", stage_of[id(kernels)], len(x)))
+        return forward(x, kernels, bias)
+
+    def backward_spy(x, kernels, grad_out, need_grad_x=True):
+        calls.append(("backward", stage_of[id(kernels)], len(x)))
+        return backward(x, kernels, grad_out, need_grad_x=need_grad_x)
+
+    def step(budget):
+        with monkeypatch.context() as mp:
+            mp.setattr(nn, "MICRO_BATCH_BYTES", budget)
+            mp.setattr(nn, "conv2d_forward", forward_spy)
+            mp.setattr(nn, "conv2d_backward", backward_spy)
+            logits, cache = nn.model_forward(spec, params, batch)
+            _, grad_logits = nn.softmax_cross_entropy(logits, labels)
+            return logits, cache, nn.model_backward(spec, params, cache, grad_logits)
+
+    per_image = _conv_output_bytes_per_image(spec, shape)
+    ref_logits, ref_cache, ref_grads = step(shape[0] * per_image)
+    assert calls == [("forward", 1, 7), ("forward", 2, 7), ("backward", 2, 7), ("backward", 1, 7)]
+    calls.clear()
+    logits, cache, grads = step(3 * per_image)
+    assert calls == [("forward", stage, n) for n in (3, 3, 1) for stage in (1, 2)] + [
+        ("backward", stage, n) for n in (3, 3, 1) for stage in (2, 1)]
+
+    assert logits.tobytes() == ref_logits.tobytes()
+    assert cache.conv_inputs[0] is batch
+    for got, want in zip(cache.conv_inputs, ref_cache.conv_inputs, strict=True):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    for got, want in zip(cache.pool_caches, ref_cache.pool_caches, strict=True):
+        assert got.params == want.params and got.input_shape == want.input_shape
+        assert got.win.dtype == want.win.dtype and got.win.tobytes() == want.win.tobytes()
+        assert (got.relu_out is None) == (want.relu_out is None)
+        assert got.relu_out is None or got.relu_out.tobytes() == want.relu_out.tobytes()
+    assert set(grads) == set(ref_grads)
+    for key in ref_grads:
+        _assert_close(grads[key], ref_grads[key], 1e-12)
+
+
+def test_training_step_builds_no_full_batch_conv_output():
+    """One training step at the CIFAR shape allocates, at its peak, less
+    than conv1's output for the whole batch (64x29x29x32 float64, 13.8 MB)."""
+    spec = nn.ModelSpec(activation_placement="after_conv", pool_targets=((14, 14), (5, 5)))
+    shape = Shape4(64, 32, 32, 3)
+    rng = np.random.default_rng(24)
+    params = nn.init_params(spec, shape, seed=24)
+    batch, labels = rng.uniform(size=shape), rng.integers(0, 10, shape.batch)
+    state = optim.init_adam(params)
+    conv1_output = shape.batch * math.prod(nn.plan(spec, shape)[0].pool.footprint) * 32 * 8
+    assert conv1_output == 13_778_944
+    tracemalloc.start()
+    try:
+        logits, cache = nn.model_forward(spec, params, batch)
+        _, grad_logits = nn.softmax_cross_entropy(logits, labels)
+        optim.adam_step(params, nn.model_backward(spec, params, cache, grad_logits), state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < conv1_output
 
 
 @st.composite
