@@ -28,8 +28,10 @@ MNIST_FILES = dict.fromkeys(("mnist_digits", "mnist_fashion"),
 CIFAR_TRAIN_FILES = [f"data_batch_{i}.bin" for i in range(1, 6)]
 CIFAR_TEST_FILES = ["test_batch.bin"]
 DATASETS = (*MNIST_FILES, "cifar10", "synthetic")
-# The (H, W, C) that each file-backed dataset's images must decode to.
-IMAGE_SHAPES = {**dict.fromkeys(MNIST_FILES, (28, 28, 1)), "cifar10": (32, 32, 3)}
+# The (H, W, C) of each dataset's images; those of a file-backed set must
+# decode to it.
+IMAGE_SHAPES = {**dict.fromkeys(MNIST_FILES, (28, 28, 1)), "cifar10": (32, 32, 3),
+                "synthetic": (8, 8, 1)}
 
 
 class DataPathError(FileNotFoundError):
@@ -74,7 +76,11 @@ class RunConfig:
         if not 0.0 < self.val_fraction < 1.0:
             raise ValueError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
         optim.check_settings(self.lr, self.beta1, self.beta2, self.epsilon)
-        build_model_spec(self)  # ModelSpec judges variant, placement and targets
+        spec = build_model_spec(self)  # ModelSpec judges variant, placement and targets
+        # nn.plan judges every stage's geometry on the dataset's images, under
+        # either variant, as compare runs both.
+        for variant in nn.VARIANTS:
+            nn.plan(replace(spec, pooling_variant=variant), (1, *IMAGE_SHAPES[self.dataset]))
         # The nearest existing path at or above output_dir must be a directory,
         # or write_report could not make it once training is done.
         out = Path(self.output_dir)

@@ -21,11 +21,12 @@ input gradient of the rest is zero.
 `model_forward` and `model_backward` run the conv stages one micro-batch of
 whole images at a time, every stage on a micro-batch before the next
 micro-batch starts (layer fusion, Alwani et al., "Fused-Layer CNN
-Accelerators", MICRO 2016, here at batch level). A stage's conv output and
-its gradient exist only for the micro-batch in hand, within
-MICRO_BATCH_BYTES, so no full-batch conv output or conv-output gradient is
-built; only the pooled maps and the pools' winning offsets are kept for the
-whole batch.
+Accelerators", MICRO 2016, here at batch level). A stage's im2col matrix,
+conv output and conv-output gradient exist only for the micro-batch in
+hand, each within MICRO_BATCH_BYTES, so none is built for the whole batch;
+only the pooled maps and the pools' winning offsets are kept for the whole
+batch. The micro-batch is the only image blocking: each conv is one GEMM
+over the images it is given.
 """
 
 import math
@@ -38,14 +39,9 @@ from . import pooling
 from .tensor import Shape4, elementwise_relu
 
 
-# Upper bound, in bytes, on the im2col matrix of one block of whole images,
-# not counting its column of ones: half of a 2 MiB per-core L2 cache, so a
-# block's GEMM operands stay in cache (Goto & van de Geijn, 2008) and no
-# full-batch im2col matrix is built.
-BLOCK_BYTES = 1 << 20
-
-# Upper bound, in bytes, on any stage's conv output for one micro-batch of
-# whole images: a 2 MiB per-core L2 cache.
+# Upper bound, in bytes, on each stage's conv output and, separately, on its
+# im2col matrix for one micro-batch of whole images: a 2 MiB per-core L2
+# cache.
 MICRO_BATCH_BYTES = 2 << 20
 
 # Side of every convolution's square kernel.
@@ -71,32 +67,23 @@ def _image_slices(count: int, per_image: int, budget: int) -> list[slice]:
     return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
-def _im2col(windows: np.ndarray):
-    """Yield (block, cols) per block of images: cols is the block's im2col
-    matrix with a last column of ones, so one GEMM with [W; bias] adds the
-    bias, and cols^T @ grad_out yields grad_bias as its last row. All blocks
-    are copied into one reused buffer."""
-    oh, ow, k = windows.shape[1], windows.shape[2], math.prod(windows.shape[3:])
-    # Blocks of whole images whose im2col rows fit in BLOCK_BYTES.
-    blocks = _image_slices(windows.shape[0], math.prod(windows.shape[1:]) * windows.itemsize,
-                           BLOCK_BYTES)
-    rows = (blocks[0].stop - blocks[0].start) * oh * ow if blocks else 0
-    buf = np.empty((rows, k + 1), windows.dtype)
-    buf[:, k] = 1.0
-    for blk in blocks:
-        block = windows[blk]
-        cols = buf[:block.shape[0] * oh * ow]
-        # Splitting contiguous axes only, so this reshape is a view into buf.
-        cols.reshape(*block.shape[:3], k + 1)[..., :k].reshape(block.shape)[...] = block
-        yield blk, cols
+def _im2col(windows: np.ndarray) -> np.ndarray:
+    """The im2col matrix of `windows`, one row per window, with a last column
+    of ones, so one GEMM with [W; bias] adds the bias, and cols^T @ grad_out
+    yields grad_bias as its last row."""
+    k = math.prod(windows.shape[3:])
+    cols = np.empty((math.prod(windows.shape[:3]), k + 1), windows.dtype)
+    cols[:, k] = 1.0
+    # Splitting contiguous axes only, so this reshape is a view into cols.
+    cols.reshape(*windows.shape[:3], k + 1)[..., :k].reshape(windows.shape)[...] = windows
+    return cols
 
 
 def conv2d_forward(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Valid (no-pad) stride-1 cross-correlation.
 
     x: (B, H, W, Cin), kernels: (kh, kw, Cin, Cout), bias: (Cout,).
-    Output: (B, H-kh+1, W-kw+1, Cout). One im2col GEMM with [W; bias] per
-    block of images, written into the output.
+    Output: (B, H-kh+1, W-kw+1, Cout), one im2col GEMM with [W; bias].
     """
     kh, kw, c_in, c_out = kernels.shape
     if x.shape[3] != c_in:
@@ -105,10 +92,7 @@ def conv2d_forward(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.n
         raise ValueError(f"spatial dims {x.shape[1:3]} smaller than kernel ({kh},{kw})")
     windows = _windows(x, kh, kw)
     w = np.vstack([kernels.reshape(kh * kw * c_in, c_out), bias])
-    out = np.empty((*windows.shape[:3], c_out), np.result_type(x, kernels, bias))
-    for blk, cols in _im2col(windows):
-        np.matmul(cols, w, out=out[blk].reshape(-1, c_out))
-    return out
+    return (_im2col(windows) @ w).reshape(*windows.shape[:3], c_out)
 
 
 def conv2d_backward(x: np.ndarray, kernels: np.ndarray, grad_out: np.ndarray,
@@ -118,9 +102,8 @@ def conv2d_backward(x: np.ndarray, kernels: np.ndarray, grad_out: np.ndarray,
     grad_out may cover only the top-left oh x ow part of the valid output, as
     when a pool reads no further: the gradients are those of the convolution
     of the part of x that yields it, and grad_x, of x's full shape, is zero
-    outside that part. All are GEMMs on the im2col layout, over the same
-    blocks of images as the forward: cols^T @ grad_out, summed block by
-    block, holds grad_kernels and, from the ones column, grad_bias; grad_x is
+    outside that part. All are GEMMs on the im2col layout: cols^T @ grad_out
+    holds grad_kernels and, from the ones column, grad_bias; grad_x is
     col2im, one GEMM per kernel offset added into the shifted input slice.
     With need_grad_x=False the input gradient is skipped and returned as None.
     """
@@ -132,18 +115,16 @@ def conv2d_backward(x: np.ndarray, kernels: np.ndarray, grad_out: np.ndarray,
                          f"input {x.shape} and kernel {kernels.shape}")
 
     k = kh * kw * c_in
-    grad_wb = np.zeros((k + 1, c_out), grad_out.dtype)
-    grad_x = np.zeros(x.shape, grad_out.dtype) if need_grad_x else None
-    for blk, cols in _im2col(_windows(x, kh, kw)[:, :oh, :ow]):
-        g = grad_out[blk].reshape(-1, c_out)
-        grad_wb += cols.T @ g
-        if need_grad_x:
-            # col2im, one window offset at a time: the input pixel at offset
-            # (i, j) of every window receives grad_out @ kernels[i, j]^T.
-            gx = grad_x[blk]
-            for i in range(kh):
-                for j in range(kw):
-                    gx[:, i:i + oh, j:j + ow] += (g @ kernels[i, j].T).reshape(-1, oh, ow, c_in)
+    g = grad_out.reshape(-1, c_out)
+    grad_wb = _im2col(_windows(x, kh, kw)[:, :oh, :ow]).T @ g
+    grad_x = None
+    if need_grad_x:
+        grad_x = np.zeros(x.shape, grad_out.dtype)
+        # col2im, one window offset at a time: the input pixel at offset
+        # (i, j) of every window receives grad_out @ kernels[i, j]^T.
+        for i in range(kh):
+            for j in range(kw):
+                grad_x[:, i:i + oh, j:j + ow] += (g @ kernels[i, j].T).reshape(-1, oh, ow, c_in)
     return grad_x, grad_wb[:k].reshape(kh, kw, c_in, c_out), grad_wb[k]
 
 
@@ -291,30 +272,26 @@ def model_forward(spec: ModelSpec, params: dict[str, np.ndarray],
 
     Each micro-batch runs through every conv stage before the next starts;
     its pooled maps and winning offsets are written into whole-batch arrays,
-    so the caches are those of the whole batch run at once. A batch that
-    fits in one micro-batch runs on the stage input arrays themselves.
+    so the caches are those of the whole batch run at once.
     """
     stages = plan(spec, batch.shape)
     b = batch.shape[0]
-    # A stage's conv output covers its pool's footprint.
-    per_image = max([math.prod(s.pool.footprint) * filters
-                     for s, filters in zip(stages, spec.conv_filters)], default=0)
+    # Per image, a stage's conv output and its im2col matrix, ones column
+    # included, each have one row per pixel of its pool's footprint.
+    per_image = max([math.prod(s.pool.footprint) * max(filters, KERNEL_SIZE ** 2 * c_in + 1)
+                     for s, filters, c_in in zip(stages, spec.conv_filters,
+                                                 (batch.shape[3], *spec.conv_filters))],
+                    default=0)
     cache = ForwardCache(micro_batches=_image_slices(b, per_image * batch.itemsize,
                                                      MICRO_BATCH_BYTES))
-    whole = len(cache.micro_batches) == 1
     maps = [batch]  # each stage's input, then the last stage's pooled output
     for images in cache.micro_batches:
         for idx, stage in enumerate(stages, start=1):
-            x = maps[idx - 1] if whole else maps[idx - 1][images]
             rows, cols = stage.reads
-            x = conv2d_forward(x if x.shape[1:3] == stage.reads else x[:, :rows, :cols],
+            x = conv2d_forward(maps[idx - 1][images, :rows, :cols],
                                params[f"conv{idx}_w"], params[f"conv{idx}_b"])
             x, pc = (pooling.nirmal_forward(x, *stage.target) if stage.target is not None
                      else pooling.max_pool2x2_forward(x, relu=stage.relu))
-            if whole:
-                maps.append(x)
-                cache.pool_caches.append(pc)
-                continue
             if images.start == 0:
                 maps.append(np.empty((b, *x.shape[1:]), x.dtype))
                 cache.pool_caches.append(pooling.PoolCache(
@@ -350,19 +327,15 @@ def model_backward(spec: ModelSpec, params: dict[str, np.ndarray], cache: Forwar
             # x is the previous layer's ReLU output: positive exactly where its input was.
             g = g * (x > 0.0)
     pooled_grad = g.reshape(cache.flat_input_shape)
-    whole = len(cache.micro_batches) == 1
     for images in cache.micro_batches:
-        g = pooled_grad if whole else pooled_grad[images]
+        g = pooled_grad[images]
         for idx in range(len(spec.conv_filters), 0, -1):
-            pc, x = cache.pool_caches[idx - 1], cache.conv_inputs[idx - 1]
-            if not whole:
-                pc, x = _pool_cache_images(pc, images), x[images]
-            g = pooling.nirmal_backward(g, pc)
+            g = pooling.nirmal_backward(g, _pool_cache_images(cache.pool_caches[idx - 1], images))
             # g covers the pool's input, the part of the conv output that was
             # computed; conv2d_backward gives the rest of x zero gradient.
             # Nothing reads the gradient w.r.t. the network input.
-            g, grad_w, grad_b = conv2d_backward(x, params[f"conv{idx}_w"], g,
-                                                need_grad_x=idx > 1)
+            g, grad_w, grad_b = conv2d_backward(cache.conv_inputs[idx - 1][images],
+                                                params[f"conv{idx}_w"], g, need_grad_x=idx > 1)
             if images.start == 0:
                 grads[f"conv{idx}_w"], grads[f"conv{idx}_b"] = grad_w, grad_b
             else:

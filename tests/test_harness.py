@@ -251,6 +251,32 @@ def test_cli_compare_bad_pool_target_exit_code(tmp_path, reads):
     assert not reads and not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "compare"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("targets, small", [("1x1,half", (1, 1)), ("2x2,2x2", (2, 2))])
+def test_cli_pool_targets_too_small_for_the_next_conv_exit_code(tmp_path, capsys, reads,
+                                                                command, source, targets, small):
+    """Targets that leave a map smaller than the next conv's kernel on the
+    dataset's images are rejected before any data is read, by train and by
+    compare, whose max2x2 run goes first and ignores targets."""
+    args = cli_args(tmp_path, source, {"dataset": "mnist_digits", "pool_targets": targets})
+    out = tmp_path / "out"
+    assert cli.main([command, *args, "--output-dir", str(out)]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"spatial dims {small} smaller than kernel (3, 3)" in captured.err
+    assert not captured.out and not reads and not out.exists()
+
+
+def test_run_config_plans_the_network_on_each_dataset_shape():
+    """Every dataset's shape plans its network; the synthetic network has
+    one stage, so a 1x1 target, which no later conv reads, is accepted."""
+    for dataset in harness.DATASETS:
+        config = harness.RunConfig(dataset=dataset)
+        spec = harness.build_model_spec(config)
+        assert len(nn.plan(spec, (1, *harness.IMAGE_SHAPES[dataset]))) == len(spec.conv_filters)
+    assert harness.RunConfig(dataset="synthetic", pool_targets=((1, 1),))
+
+
 @pytest.mark.parametrize("test_limit", [0, -1])
 def test_cli_empty_test_set_exit_code(tmp_path, reads, test_limit):
     cfg = tmp_path / "run.cfg"

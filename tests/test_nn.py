@@ -115,7 +115,7 @@ def test_conv_backward_without_grad_x():
 
 
 # A grad_out over the pool's footprint only: CIFAR's conv1 (29 of 30) and
-# max2x2's conv2 at MNIST shape (10 of 11, several blocks of images), an
+# max2x2's conv2 at MNIST shape (10 of 11, a whole batch of 64), an
 # uneven crop of a non-square kernel, and no crop at all.
 @pytest.mark.parametrize("x_shape, kernel_shape, out_hw", [
     ((4, 32, 32, 3), (3, 3, 3, 8), (29, 29)),
@@ -154,29 +154,21 @@ def test_conv_backward_rejects_incompatible_grad_out(grad_shape, kernel_shape):
         nn.conv2d_backward(np.zeros((2, 6, 6, 2)), np.zeros(kernel_shape), np.zeros(grad_shape))
 
 
-def _im2col_bytes_per_image(x, kernels):
-    kh, kw, c_in, _ = kernels.shape
-    return (x.shape[1] - kh + 1) * (x.shape[2] - kw + 1) * kh * kw * c_in * x.itemsize
-
-
 _RAGGED = (np.arange(3 * 4 * 4 * 2, dtype=float).reshape(3, 4, 4, 2) / 8 - 3,
            np.arange(-9, 9, dtype=float).reshape(3, 3, 2, 1) / 8,
            np.arange(3 * 2 * 2, dtype=float).reshape(3, 2, 2, 1) / 8 - 0.5)
 
 
-# Batches of 2-5 with blocks of 1-2 images, so the convolution runs over
-# several blocks and, for odd batches of 2-image blocks, a ragged last block.
+# Batches of 2-5, each convolved by one GEMM over all its images.
 @settings(deadline=None)
-@given(conv_case(batch=st.integers(2, 5)), st.integers(1, 2))
-@example(_RAGGED, 2)
-def test_property_blocked_conv_matches_oracle(case, images_per_block):
+@given(conv_case(batch=st.integers(2, 5)))
+@example(_RAGGED)
+def test_property_blocked_conv_matches_oracle(case):
     x, kernels, grad_out = case
     bias = np.arange(kernels.shape[3]) / 8 - 0.25
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(nn, "BLOCK_BYTES", images_per_block * _im2col_bytes_per_image(x, kernels))
-        out = nn.conv2d_forward(x, kernels, bias)
-        full = nn.conv2d_backward(x, kernels, grad_out)
-        no_grad_x = nn.conv2d_backward(x, kernels, grad_out, need_grad_x=False)
+    out = nn.conv2d_forward(x, kernels, bias)
+    full = nn.conv2d_backward(x, kernels, grad_out)
+    no_grad_x = nn.conv2d_backward(x, kernels, grad_out, need_grad_x=False)
     np.testing.assert_allclose(out, oracles.conv2d_oracle(x, kernels, bias), rtol=1e-12)
     expected = oracles.conv2d_backward_oracle(x, kernels, grad_out)
     for actual, want in zip(full, expected):
@@ -186,31 +178,13 @@ def test_property_blocked_conv_matches_oracle(case, images_per_block):
         np.testing.assert_allclose(actual, want, rtol=1e-12)
 
 
-def test_blocked_conv_forward_is_the_unblocked_gemm():
-    """At mnist_train's conv2 shape the real budget splits the batch into
-    several blocks; each output row is the same GEMM row as one GEMM over
-    the whole batch, so the result is bitwise equal."""
-    rng = np.random.default_rng(7)
-    x = rng.normal(size=(64, 13, 13, 32))
-    kernels = rng.normal(size=(3, 3, 32, 64))
-    bias = rng.normal(size=64)
-    assert 1 < nn.BLOCK_BYTES // _im2col_bytes_per_image(x, kernels) < 64
-    cols = np.lib.stride_tricks.sliding_window_view(x, (3, 3), axis=(1, 2))
-    cols = cols.transpose(0, 1, 2, 4, 5, 3).reshape(64, 11, 11, 288)
-    expected = cols @ kernels.reshape(288, 64) + bias
-    out = nn.conv2d_forward(x, kernels, bias)
-    assert out.dtype == expected.dtype and out.shape == expected.shape
-    assert out.tobytes() == expected.tobytes()
-
-
 def test_grad_bias_is_the_sum_of_grad_out_over_blocks():
-    """grad_bias comes from the im2col matrix's ones column, summed over
-    several blocks at mnist_train's conv2 shape."""
+    """grad_bias comes from the im2col matrix's ones column, over a whole
+    batch of 64 at mnist_train's conv2 shape."""
     rng = np.random.default_rng(19)
     x = rng.normal(size=(64, 13, 13, 32))
     kernels = rng.normal(size=(3, 3, 32, 64))
     grad_out = rng.normal(size=(64, 11, 11, 64))
-    assert 1 < nn.BLOCK_BYTES // _im2col_bytes_per_image(x, kernels) < 64
     _, _, gb = nn.conv2d_backward(x, kernels, grad_out, need_grad_x=False)
     expected = grad_out.sum(axis=(0, 1, 2))
     assert np.abs(gb - expected).max() <= 1e-12 * np.abs(expected).max()
@@ -226,6 +200,11 @@ def test_conv_empty_batch():
     assert (gb == 0).all() and gb.shape == (4,)
 
 
+def _is_view_of(x, whole):
+    """x is a view into `whole`'s own memory, not a copy of it."""
+    return x.base is whole and np.shares_memory(x, whole)
+
+
 def test_model_backward_skips_input_gradient(monkeypatch):
     spec = nn.ModelSpec()
     params = nn.init_params(spec, Shape4(1, 28, 28, 1), seed=0)
@@ -236,7 +215,7 @@ def test_model_backward_skips_input_gradient(monkeypatch):
     backward = nn.conv2d_backward
 
     def spy(x, kernels, grad_out, need_grad_x=True):
-        calls.append((x is batch, need_grad_x))
+        calls.append((_is_view_of(x, batch), need_grad_x))
         return backward(x, kernels, grad_out, need_grad_x=need_grad_x)
 
     monkeypatch.setattr(nn, "conv2d_backward", spy)
@@ -555,8 +534,8 @@ def test_cropped_convs_are_the_uncropped_network(monkeypatch, spec, shape):
 
 
 def test_uncropped_conv_reads_its_input_itself(monkeypatch):
-    """Where the pool reads the whole conv output, the conv gets the stage's
-    input array itself, not a view of it."""
+    """Where the pool reads the whole conv output, the conv gets a view of
+    the stage's whole input, not a copy of it."""
     spec = nn.ModelSpec()
     params = nn.init_params(spec, Shape4(1, 28, 28, 1), seed=0)
     batch = np.random.default_rng(20).uniform(size=(2, 28, 28, 1))
@@ -570,13 +549,16 @@ def test_uncropped_conv_reads_its_input_itself(monkeypatch):
     monkeypatch.setattr(nn, "conv2d_forward", spy)
     _, cache = nn.model_forward(spec, params, batch)
     assert len(inputs) == 2
-    assert all(x is stage_input for x, stage_input in zip(inputs, cache.conv_inputs))
+    for x, stage_input in zip(inputs, cache.conv_inputs, strict=True):
+        assert x.shape == stage_input.shape and _is_view_of(x, stage_input)
 
 
-def _conv_output_bytes_per_image(spec, shape):
-    """The largest conv output one image needs at any stage: its pool's footprint."""
-    return max(math.prod(stage.pool.footprint) * filters * 8
-               for stage, filters in zip(nn.plan(spec, shape), spec.conv_filters))
+def _micro_batch_bytes_per_image(spec, shape):
+    """The most one image needs at any stage, of its conv output and of its
+    im2col matrix with the ones column, both over its pool's footprint."""
+    return max(math.prod(stage.pool.footprint) * max(filters, 9 * c_in + 1) * 8
+               for stage, filters, c_in in zip(nn.plan(spec, shape), spec.conv_filters,
+                                               (shape[3], *spec.conv_filters)))
 
 
 # Both variants and placements, and the CIFAR targets whose overlapping pools
@@ -624,7 +606,7 @@ def test_micro_batches_are_the_whole_batch_network(monkeypatch, spec, shape):
             _, grad_logits = nn.softmax_cross_entropy(logits, labels)
             return logits, cache, nn.model_backward(spec, params, cache, grad_logits)
 
-    per_image = _conv_output_bytes_per_image(spec, shape)
+    per_image = _micro_batch_bytes_per_image(spec, shape)
     ref_logits, ref_cache, ref_grads = step(shape[0] * per_image)
     assert calls == [("forward", 1, 7), ("forward", 2, 7), ("backward", 2, 7), ("backward", 1, 7)]
     calls.clear()
@@ -666,6 +648,57 @@ def test_training_step_builds_no_full_batch_conv_output():
     finally:
         tracemalloc.stop()
     assert peak < conv1_output
+
+
+# The benchmark's three steps: training at MNIST shape (halving) and at CIFAR
+# shape (overlapping targets), and a max2x2 eval forward.
+CONV_CALL_CASES = [
+    pytest.param(nn.ModelSpec(), Shape4(64, 28, 28, 1), True, id="mnist_train"),
+    pytest.param(nn.ModelSpec(activation_placement="after_conv", pool_targets=((14, 14), (5, 5))),
+                 Shape4(64, 32, 32, 3), True, id="cifar_train_overlap"),
+    pytest.param(nn.ModelSpec(pooling_variant="max2x2"), Shape4(64, 28, 28, 1), False,
+                 id="mnist_eval"),
+]
+
+
+@pytest.mark.parametrize("spec, shape, train", CONV_CALL_CASES)
+def test_every_conv_call_fits_the_micro_batch_budget(monkeypatch, spec, shape, train):
+    """Each conv2d_forward and conv2d_backward call's im2col matrix, ones
+    column included, and its conv output or conv-output gradient fit in
+    MICRO_BATCH_BYTES; every stage still sees every image once each way."""
+    rng = np.random.default_rng(25)
+    params = nn.init_params(spec, shape, seed=25)
+    batch, labels = rng.uniform(size=shape), rng.integers(0, 10, shape.batch)
+    calls = []  # (direction, stage's C_in, images, im2col bytes, conv output bytes)
+    forward, backward = nn.conv2d_forward, nn.conv2d_backward
+
+    def record(direction, x, kernels, out):
+        rows = math.prod(out.shape[:3])
+        calls.append((direction, kernels.shape[2], len(x),
+                      rows * (kernels[..., 0].size + 1) * x.itemsize, out.nbytes))
+
+    def forward_spy(x, kernels, bias):
+        out = forward(x, kernels, bias)
+        record("forward", x, kernels, out)
+        return out
+
+    def backward_spy(x, kernels, grad_out, need_grad_x=True):
+        record("backward", x, kernels, grad_out)
+        return backward(x, kernels, grad_out, need_grad_x=need_grad_x)
+
+    monkeypatch.setattr(nn, "conv2d_forward", forward_spy)
+    monkeypatch.setattr(nn, "conv2d_backward", backward_spy)
+    logits, cache = nn.model_forward(spec, params, batch)
+    if train:
+        _, grad_logits = nn.softmax_cross_entropy(logits, labels)
+        nn.model_backward(spec, params, cache, grad_logits)
+
+    assert len(cache.micro_batches) > 1
+    for *_, cols_bytes, out_bytes in calls:
+        assert cols_bytes <= nn.MICRO_BATCH_BYTES and out_bytes <= nn.MICRO_BATCH_BYTES
+    for direction in ("forward", "backward") if train else ("forward",):
+        for c_in in (shape[3], *spec.conv_filters[:-1]):
+            assert sum(n for d, c, n, *_ in calls if (d, c) == (direction, c_in)) == shape.batch
 
 
 @st.composite
