@@ -157,7 +157,8 @@ def load_cifar10(paths: Sequence, name: str = "cifar10") -> Dataset:
     """Decode CIFAR-10 binary batch files into a dataset of byte images.
 
     Every file is checked first; then each file's pixels are copied,
-    interleaved, into its rows of one uint8 array."""
+    interleaved, into its rows of one uint8 array, one colour plane at a
+    time."""
     files = []
     for path in paths:
         data = Path(path).read_bytes()
@@ -174,9 +175,13 @@ def load_cifar10(paths: Sequence, name: str = "cifar10") -> Dataset:
     for records in files:
         rows = slice(start, start + len(records))
         labels[rows] = records[:, 0]
-        # channel-planar (3, 32, 32) -> interleaved (32, 32, 3)
-        planes = records[:, 1:].reshape(-1, 3, 32, 32).transpose(0, 2, 3, 1)
-        images[rows] = planes
+        # channel-planar (3, 1024) -> interleaved (1024, 3): a copy per plane
+        # runs 1024 pixels in its inner loop, where a copy of the transposed
+        # view would run 3
+        planes = records[:, 1:].reshape(-1, 3, 1024)
+        pixels = images[rows].reshape(-1, 1024, 3)
+        for c in range(3):
+            pixels[..., c] = planes[:, c]
         start = rows.stop
     return Dataset(ByteImages(images), labels, name)
 

@@ -35,7 +35,8 @@ IMAGE_SHAPES = {**dict.fromkeys(MNIST_FILES, (28, 28, 1)), "cifar10": (32, 32, 3
 
 
 class DataPathError(FileNotFoundError):
-    """Dataset files missing from the configured root."""
+    """Dataset files missing from the configured root, or present there but
+    unreadable."""
 
 
 class DivergenceError(RuntimeError):
@@ -137,7 +138,8 @@ def _data_root(config: RunConfig) -> Path:
 
 def load_dataset_pair(config: RunConfig) -> tuple[datasets.Dataset, datasets.Dataset]:
     """(train, test) datasets for the configured benchmark. A split whose
-    images are not the dataset's IMAGE_SHAPES entry raises FormatError."""
+    images are not the dataset's IMAGE_SHAPES entry raises FormatError; a
+    dataset file that is missing or cannot be read raises DataPathError."""
     if config.dataset == "synthetic":
         return (datasets.synthetic_two_class(512, seed=config.seed, name="synthetic"),
                 datasets.synthetic_two_class(128, seed=config.seed + 1, name="synthetic"))
@@ -157,7 +159,11 @@ def load_dataset_pair(config: RunConfig) -> tuple[datasets.Dataset, datasets.Dat
         raise DataPathError(f"missing {config.dataset} files: {missing}; place them under {sub}")
     pair = []
     for paths in splits:
-        dataset = load(paths, config.dataset)
+        try:
+            dataset = load(paths, config.dataset)
+        except OSError as exc:  # a file that exists but cannot be read
+            raise DataPathError(f"cannot read {config.dataset} file "
+                                f"{exc.filename or paths}: {exc.strerror or exc}") from exc
         shape, expected = dataset.images.shape[1:], IMAGE_SHAPES[config.dataset]
         if shape != expected:
             raise datasets.FormatError(f"{paths[0]}: {config.dataset} images are {shape}, "

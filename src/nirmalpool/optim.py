@@ -42,7 +42,10 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     """One bias-corrected Adam update; returns new params, advances state.
 
     The moments in `state.m` and `state.v` are updated in place; the params
-    passed in are left unchanged."""
+    passed in are left unchanged. Per parameter, one scratch array holds in
+    turn (1-beta1)*g, (1-beta2)*g*g and the denominator, and one update
+    array becomes the new parameter; the operations run in the order of the
+    whole-array formula, so the result is bitwise that formula's."""
     if set(params) != set(grads):
         raise ValueError(f"param/grad key mismatch: {set(params) ^ set(grads)}")
     state.step += 1
@@ -53,15 +56,18 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         if g.shape != p.shape:
             raise ValueError(f"gradient shape {g.shape} != param shape {p.shape} for {key!r}")
         m, v = state.m[key], state.v[key]
+        scratch = np.multiply(g, 1.0 - state.beta1)
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        m += scratch
+        np.multiply(g, 1.0 - state.beta2, out=scratch)
+        scratch *= g
         v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        denom = v / (1.0 - state.beta2 ** t)
+        v += scratch
+        denom = np.divide(v, 1.0 - state.beta2 ** t, out=scratch)
         np.sqrt(denom, out=denom)
         denom += state.epsilon
         update = m / (1.0 - state.beta1 ** t)
         update *= state.lr
         update /= denom
-        updated[key] = p - update
+        updated[key] = np.subtract(p, update, out=update)
     return updated

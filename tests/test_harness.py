@@ -351,12 +351,24 @@ def _write_truncated_mnist(sub):
         (sub / name).write_bytes(b"\x00\x00")
 
 
+def _write_mnist_with_a_directory(sub):
+    rng = np.random.default_rng(0)
+    names = harness.MNIST_FILES["mnist_digits"]
+    for images, labels in (names[:2], names[2:]):
+        data.write_idx_images(sub / images, rng.integers(0, 256, (16, 28, 28)))
+        data.write_idx_labels(sub / labels, rng.integers(0, 10, 16))
+    (sub / names[2]).unlink()
+    (sub / names[2]).mkdir()
+
+
 @pytest.mark.parametrize("write, message", [
     (_write_truncated_mnist, "truncated header"),
     (_write_mnist_label_12, "train-labels-idx1-ubyte: label out of range: 12"),
-], ids=["truncated", "label_out_of_range"])
+    (_write_mnist_with_a_directory, "t10k-images-idx3-ubyte: Is a directory"),
+], ids=["truncated", "label_out_of_range", "unreadable"])
 def test_cli_malformed_data_file_is_a_data_error(tmp_path, capsys, write, message):
-    """A data.FormatError exits 3 (data), not 2, and writes no output."""
+    """A data.FormatError, or a dataset file that exists but cannot be read,
+    exits 3 (data), not 2, and writes no output."""
     sub = tmp_path / "mnist_digits"
     sub.mkdir()
     write(sub)
@@ -540,6 +552,8 @@ def test_cli_config_file_errors(tmp_path):
     with pytest.raises(ValueError):
         cli.parse_config_file(noeq)
     assert cli.main(["train", "--config", str(bad)]) == cli.EXIT_CONFIG
+    # An unreadable config file (a directory) stays a config error.
+    assert cli.main(["train", "--config", str(tmp_path)]) == cli.EXIT_CONFIG
 
 
 def test_parse_pool_targets():
