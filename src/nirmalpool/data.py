@@ -27,7 +27,7 @@ CIFAR_RECORD_BYTES = 3073
 
 class FormatError(ValueError):
     """Malformed dataset file (bad magic, truncated, wrong record size, a
-    label outside 0-9)."""
+    label outside 0-9, or IDX images and labels of unequal counts)."""
 
 
 def _normalize(raw) -> np.ndarray:
@@ -82,7 +82,6 @@ class Dataset:
     # file, a float64 ndarray for the synthetic set.
     images: np.ndarray | ByteImages
     labels: np.ndarray  # (N,) int64 in [0, 10)
-    name: str
 
     def __post_init__(self):
         if len(self.images) != len(self.labels):
@@ -92,7 +91,7 @@ class Dataset:
         return len(self.labels)
 
     def subset(self, indices: np.ndarray) -> "Dataset":
-        return Dataset(self.images.take(indices, axis=0), self.labels[indices], self.name)
+        return Dataset(self.images.take(indices, axis=0), self.labels[indices])
 
 
 @dataclass
@@ -104,7 +103,7 @@ class Split:
 def _read_idx(path, magic: int, n_dims: int) -> np.ndarray:
     """Raw uint8 array of an IDX file whose header holds `magic` and n_dims
     dimensions; the payload must be exactly the bytes those dims call for."""
-    data = Path(path).read_bytes() if not hasattr(path, "read") else path.read()
+    data = Path(path).read_bytes()
     header_len = 4 * (1 + n_dims)
     if len(data) < header_len:
         raise FormatError(f"{path}: truncated header ({len(data)} bytes)")
@@ -144,16 +143,19 @@ def write_idx_labels(path, labels: np.ndarray) -> None:
     _write_idx(path, IDX_LABEL_MAGIC, labels)
 
 
-def load_mnist(images_path, labels_path, name: str = "mnist") -> Dataset:
+def load_mnist(images_path, labels_path) -> Dataset:
     """Decode an IDX image/label pair into a dataset of byte images."""
     raw = load_idx_images(images_path)
     labels = load_idx_labels(labels_path)
+    if len(raw) != len(labels):
+        raise FormatError(f"{images_path}, {labels_path}: {len(raw)} images "
+                          f"but {len(labels)} labels")
     if labels.max(initial=0) > 9:
         raise FormatError(f"{labels_path}: label out of range: {labels.max()}")
-    return Dataset(ByteImages(raw[..., None]), labels.astype(np.int64), name)
+    return Dataset(ByteImages(raw[..., None]), labels.astype(np.int64))
 
 
-def load_cifar10(paths: Sequence, name: str = "cifar10") -> Dataset:
+def load_cifar10(paths: Sequence) -> Dataset:
     """Decode CIFAR-10 binary batch files into a dataset of byte images.
 
     Every file is checked first; then each file's pixels are copied,
@@ -183,7 +185,7 @@ def load_cifar10(paths: Sequence, name: str = "cifar10") -> Dataset:
         for c in range(3):
             pixels[..., c] = planes[:, c]
         start = rows.stop
-    return Dataset(ByteImages(images), labels, name)
+    return Dataset(ByteImages(images), labels)
 
 
 def split_train_val(dataset: Dataset, fraction: float, seed: int) -> Split:
@@ -212,10 +214,10 @@ def batches(dataset: Dataset, batch_size: int, seed: int,
         yield dataset.images[idx], dataset.labels[idx]
 
 
-def synthetic_two_class(n: int, seed: int, name: str = "synthetic") -> Dataset:
+def synthetic_two_class(n: int, seed: int) -> Dataset:
     """Linearly separable 8x8 toy set: class 1 carries a bright corner patch."""
     rng = np.random.default_rng(seed)
     images = rng.uniform(0.0, 0.2, size=(n, 8, 8, 1))
     labels = rng.integers(0, 2, size=n).astype(np.int64)
     images[labels == 1, :4, :4, :] += 0.8
-    return Dataset(np.clip(images, 0.0, 1.0), labels, name)
+    return Dataset(np.clip(images, 0.0, 1.0), labels)

@@ -27,16 +27,13 @@ MNIST_FILES = dict.fromkeys(("mnist_digits", "mnist_fashion"),
                              "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"))
 CIFAR_TRAIN_FILES = [f"data_batch_{i}.bin" for i in range(1, 6)]
 CIFAR_TEST_FILES = ["test_batch.bin"]
-DATASETS = (*MNIST_FILES, "cifar10", "synthetic")
-# The (H, W, C) of each dataset's images; those of a file-backed set must
-# decode to it.
-IMAGE_SHAPES = {**dict.fromkeys(MNIST_FILES, (28, 28, 1)), "cifar10": (32, 32, 3),
-                "synthetic": (8, 8, 1)}
+# Every dataset's name and its images' (H, W, C), which a file-backed set must decode to.
+DATASETS = {**dict.fromkeys(MNIST_FILES, (28, 28, 1)), "cifar10": (32, 32, 3),
+            "synthetic": (8, 8, 1)}
 
 
 class DataPathError(FileNotFoundError):
-    """Dataset files missing from the configured root, or present there but
-    unreadable."""
+    """Dataset files missing from the configured root, or there but unreadable."""
 
 
 class DivergenceError(RuntimeError):
@@ -60,7 +57,8 @@ class RunConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-7
-    pool_targets: tuple[tuple[int, int] | None, ...] | None = None  # None -> exact halving
+    # nn.ModelSpec's per-stage targets, stored padded to one per stage; None if all halve.
+    pool_targets: tuple[tuple[int, int] | None, ...] | None = None
     train_limit: int | None = None  # desk-scale subsampling
     test_limit: int | None = None
     data_root: str | None = None
@@ -78,10 +76,13 @@ class RunConfig:
             raise ValueError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
         optim.check_settings(self.lr, self.beta1, self.beta2, self.epsilon)
         spec = build_model_spec(self)  # ModelSpec judges variant, placement and targets
+        # One network, one spelling of its targets, so one run has one fingerprint.
+        object.__setattr__(self, "pool_targets",
+                           spec.pool_targets if any(spec.pool_targets) else None)
         # nn.plan judges every stage's geometry on the dataset's images, under
         # either variant, as compare runs both.
         for variant in nn.VARIANTS:
-            nn.plan(replace(spec, pooling_variant=variant), (1, *IMAGE_SHAPES[self.dataset]))
+            nn.plan(replace(spec, pooling_variant=variant), (1, *DATASETS[self.dataset]))
         # The nearest existing path at or above output_dir must be a directory,
         # or write_report could not make it once training is done.
         out = Path(self.output_dir)
@@ -91,6 +92,12 @@ class RunConfig:
                              if existing == out else
                              f"output_dir {self.output_dir!r} is below {str(existing)!r}, "
                              f"which is not a directory")
+        csv_path = out / "results.csv"  # rows are appended under its header, so it must be ours
+        if csv_path.is_file() and csv_path.stat().st_size:
+            with open(csv_path, errors="replace") as f:
+                if f.readline().rstrip("\n") != ",".join(CSV_HEADER):
+                    raise ValueError(f"{csv_path} does not start with the header "
+                                     f"{','.join(CSV_HEADER)!r}")
 
     def fingerprint(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True, default=str)
@@ -128,31 +135,22 @@ class RunReport:
         return cls(**raw)
 
 
-def _data_root(config: RunConfig) -> Path:
-    root = config.data_root or os.environ.get(DATA_ROOT_ENV)
-    if root is None:
-        raise DataPathError(
-            f"no data root configured; set --data-root or ${DATA_ROOT_ENV}")
-    return Path(root)
-
-
 def load_dataset_pair(config: RunConfig) -> tuple[datasets.Dataset, datasets.Dataset]:
     """(train, test) datasets for the configured benchmark. A split whose
-    images are not the dataset's IMAGE_SHAPES entry raises FormatError; a
+    images are not the dataset's DATASETS shape raises FormatError; a
     dataset file that is missing or cannot be read raises DataPathError."""
     if config.dataset == "synthetic":
-        return (datasets.synthetic_two_class(512, seed=config.seed, name="synthetic"),
-                datasets.synthetic_two_class(128, seed=config.seed + 1, name="synthetic"))
+        return (datasets.synthetic_two_class(512, seed=config.seed),
+                datasets.synthetic_two_class(128, seed=config.seed + 1))
     if config.dataset == "cifar10":
-        names = (CIFAR_TRAIN_FILES, CIFAR_TEST_FILES)
-        load = datasets.load_cifar10
+        names, load = (CIFAR_TRAIN_FILES, CIFAR_TEST_FILES), datasets.load_cifar10
     else:
         files = MNIST_FILES[config.dataset]
-        names = (files[:2], files[2:])
-
-        def load(paths, name):
-            return datasets.load_mnist(*paths, name)
-    sub = _data_root(config) / config.dataset
+        names, load = (files[:2], files[2:]), lambda paths: datasets.load_mnist(*paths)
+    root = config.data_root or os.environ.get(DATA_ROOT_ENV)
+    if root is None:
+        raise DataPathError(f"no data root configured; set --data-root or ${DATA_ROOT_ENV}")
+    sub = Path(root) / config.dataset
     splits = [[sub / n for n in split] for split in names]
     missing = [str(p) for paths in splits for p in paths if not p.exists()]
     if missing:
@@ -160,11 +158,11 @@ def load_dataset_pair(config: RunConfig) -> tuple[datasets.Dataset, datasets.Dat
     pair = []
     for paths in splits:
         try:
-            dataset = load(paths, config.dataset)
+            dataset = load(paths)
         except OSError as exc:  # a file that exists but cannot be read
             raise DataPathError(f"cannot read {config.dataset} file "
                                 f"{exc.filename or paths}: {exc.strerror or exc}") from exc
-        shape, expected = dataset.images.shape[1:], IMAGE_SHAPES[config.dataset]
+        shape, expected = dataset.images.shape[1:], DATASETS[config.dataset]
         if shape != expected:
             raise datasets.FormatError(f"{paths[0]}: {config.dataset} images are {shape}, "
                                        f"expected {expected}")
@@ -180,7 +178,7 @@ def build_model_spec(config: RunConfig, input_hw: tuple[int, int] | None = None)
     return nn.ModelSpec(pooling_variant=config.pooling_variant,
                         activation_placement=config.activation_placement,
                         conv_filters=conv_filters, dense_units=dense_units,
-                        pool_targets=config.pool_targets or (None,) * len(conv_filters))
+                        pool_targets=config.pool_targets or ())
 
 
 def evaluate(spec: nn.ModelSpec, params: dict, dataset: datasets.Dataset,
@@ -211,9 +209,8 @@ def train(config: RunConfig, verbose: bool = False) -> RunReport:
 
     split = datasets.split_train_val(train_full, config.val_fraction, config.seed)
     del train_full  # the split holds copies; free the undivided set before training
-    h, w, c = split.train.images.shape[1:]
-    spec = build_model_spec(config, (h, w))
-    params = nn.init_params(spec, (1, h, w, c), seed=config.seed)
+    spec = build_model_spec(config)
+    params = nn.init_params(spec, (1, *DATASETS[config.dataset]), seed=config.seed)
     state = optim.init_adam(params, lr=config.lr, beta1=config.beta1,
                             beta2=config.beta2, epsilon=config.epsilon)
 
@@ -271,11 +268,9 @@ def write_report(report: RunReport, output_dir) -> Path:
     except BaseException:
         os.unlink(tmp)
         raise
-    csv_path = out / "results.csv"
-    new_file = not csv_path.exists()
-    with open(csv_path, "a", newline="") as f:
+    with open(out / "results.csv", "a", newline="") as f:
         writer = csv.writer(f)
-        if new_file:
+        if not f.tell():  # a new or empty file
             writer.writerow(CSV_HEADER)
         writer.writerow([report.dataset, report.variant, report.seed,
                          len(report.epochs), f"{report.test_loss:.6f}",

@@ -172,9 +172,9 @@ class ModelSpec:
     conv_filters: tuple[int, ...] = (32, 64)
     # Every dense layer but the last is followed by a ReLU; the last gives the logits.
     dense_units: tuple[int, ...] = (128, 10)
-    # Per-stage (target_h, target_w), ints >= 1; None means exact halving of
-    # the incoming feature map. Checked also where the fixed 2x2 baseline ignores them.
-    pool_targets: tuple[tuple[int, int] | None, ...] = (None, None)
+    # Per-stage (target_h, target_w), ints >= 1, or None to halve the incoming
+    # map; checked under either variant, then padded with None to one per stage.
+    pool_targets: tuple[tuple[int, int] | None, ...] = ()
 
     def __post_init__(self):
         if self.pooling_variant not in VARIANTS:
@@ -186,13 +186,15 @@ class ModelSpec:
             raise ValueError(f"unknown activation_placement {self.activation_placement!r}")
         if not self.dense_units:
             raise ValueError("dense_units must hold at least the output layer")
-        if len(self.pool_targets) > len(self.conv_filters):
+        missing = len(self.conv_filters) - len(self.pool_targets)
+        if missing < 0:
             raise ValueError(f"{len(self.pool_targets)} pool_targets for "
                              f"{len(self.conv_filters)} conv stages")
         for t in self.pool_targets:
             if t is not None and not (isinstance(t, tuple) and len(t) == 2
                                       and all(type(v) is int and v >= 1 for v in t)):
                 raise ValueError(f"pool target {t!r} is neither None nor a pair of ints >= 1")
+        object.__setattr__(self, "pool_targets", (*self.pool_targets, *(None,) * missing))
 
 
 @dataclass(frozen=True)
@@ -209,10 +211,10 @@ def plan(spec: ModelSpec, input_shape: Shape4) -> tuple[Stage, ...]:
     """Each conv stage's geometry on inputs of `input_shape`, from integers
     alone: the one place the variants differ. max2x2 pools 2x2, fused with a
     ReLU only under after_conv; nirmal runs the fused adaptive pool toward the
-    stage's target, where a missing or None target halves the map."""
+    stage's target, where a None target halves the map."""
     _, h, w, _ = input_shape
     stages = []
-    for idx in range(len(spec.conv_filters)):
+    for target in spec.pool_targets:  # one per conv stage
         if h < KERNEL_SIZE or w < KERNEL_SIZE:
             raise ValueError(f"spatial dims {(h, w)} smaller than kernel {(KERNEL_SIZE,) * 2}")
         h, w = h - KERNEL_SIZE + 1, w - KERNEL_SIZE + 1
@@ -220,7 +222,6 @@ def plan(spec: ModelSpec, input_shape: Shape4) -> tuple[Stage, ...]:
             target, relu = None, spec.activation_placement == "after_conv"
             pool = pooling.max_pool2x2_params(h, w)
         else:
-            target = spec.pool_targets[idx] if idx < len(spec.pool_targets) else None
             target = target or (max(1, h // 2), max(1, w // 2))
             relu, pool = True, pooling.compute_pool_params(h, w, *target)
         rows, cols = pool.footprint

@@ -1,4 +1,3 @@
-import io
 import math
 import struct
 import tempfile
@@ -68,20 +67,11 @@ def test_idx_roundtrip(tmp_path):
     assert (data.load_idx_labels(tmp_path / "lab") == labels).all()
 
 
-def test_idx_stream_equals_path(tmp_path):
-    images = np.arange(8, dtype=np.uint8).reshape(2, 2, 2)
-    path = tmp_path / "img"
-    data.write_idx_images(path, images)
-    from_path = data.load_idx_images(path)
-    from_stream = data.load_idx_images(io.BytesIO(path.read_bytes()))
-    assert (from_path == from_stream).all()
-
-
 def test_load_mnist_normalization(tmp_path):
     images = np.array([[[0, 128], [255, 64]]], dtype=np.uint8)
     data.write_idx_images(tmp_path / "img", images)
     data.write_idx_labels(tmp_path / "lab", np.array([7], dtype=np.uint8))
-    ds = data.load_mnist(tmp_path / "img", tmp_path / "lab", "fixture")
+    ds = data.load_mnist(tmp_path / "img", tmp_path / "lab")
     assert ds.images.shape == (1, 2, 2, 1)
     read = np.asarray(ds.images)
     assert read.max() == 1.0
@@ -192,7 +182,7 @@ def test_loaded_images_are_read_only(tmp_path, loader):
 @pytest.mark.parametrize("loader", ["mnist", "cifar"])
 def test_batches_of_byte_images_equal_float64_batches(tmp_path, loader):
     ds, expected = loaded_pair(tmp_path, loader)
-    as_floats = data.Dataset(expected, ds.labels, ds.name)
+    as_floats = data.Dataset(expected, ds.labels)
     for epoch in (0, 1):
         pairs = zip(data.batches(ds, 3, seed=2, epoch=epoch),
                     data.batches(as_floats, 3, seed=2, epoch=epoch), strict=True)
@@ -216,13 +206,15 @@ def test_cifar_bad_label_rejected(tmp_path):
         data.load_cifar10([path])
 
 
-def test_idx_negative_dims_rejected():
+def test_idx_negative_dims_rejected(tmp_path):
     # 2 * -2 * -2 = 8 payload bytes, so only the sign check catches it.
-    raw = struct.pack(">4i", data.IDX_IMAGE_MAGIC, 2, -2, -2) + bytes(8)
+    images, labels = tmp_path / "img", tmp_path / "lab"
+    images.write_bytes(struct.pack(">4i", data.IDX_IMAGE_MAGIC, 2, -2, -2) + bytes(8))
+    labels.write_bytes(struct.pack(">2i", data.IDX_LABEL_MAGIC, -1))
     with pytest.raises(data.FormatError):
-        data.load_idx_images(io.BytesIO(raw))
+        data.load_idx_images(images)
     with pytest.raises(data.FormatError):
-        data.load_idx_labels(io.BytesIO(struct.pack(">2i", data.IDX_LABEL_MAGIC, -1)))
+        data.load_idx_labels(labels)
 
 
 # --- loader fuzz: malformed bytes may only raise FormatError or ValueError ---
@@ -254,9 +246,13 @@ def loads_or_rejects(load, *args):
 @settings(deadline=None)
 @given(idx_bytes(data.IDX_IMAGE_MAGIC, 3), idx_bytes(data.IDX_LABEL_MAGIC, 1))
 def test_fuzz_idx_loaders_raise_only_value_errors(images, labels):
-    loads_or_rejects(data.load_idx_images, io.BytesIO(images))
-    loads_or_rejects(data.load_idx_labels, io.BytesIO(labels))
-    loads_or_rejects(data.load_mnist, io.BytesIO(images), io.BytesIO(labels))
+    with tempfile.TemporaryDirectory() as tmp:
+        images_path, labels_path = Path(tmp) / "img", Path(tmp) / "lab"
+        images_path.write_bytes(images)
+        labels_path.write_bytes(labels)
+        loads_or_rejects(data.load_idx_images, images_path)
+        loads_or_rejects(data.load_idx_labels, labels_path)
+        loads_or_rejects(data.load_mnist, images_path, labels_path)
 
 
 @settings(deadline=None, max_examples=50)
@@ -273,7 +269,7 @@ def test_fuzz_cifar_loader_raises_only_value_errors(labels, tail, cut):
 def make_dataset(n, seed=0):
     rng = np.random.default_rng(seed)
     return data.Dataset(rng.uniform(size=(n, 2, 2, 1)),
-                        rng.integers(0, 10, size=n).astype(np.int64), "test")
+                        rng.integers(0, 10, size=n).astype(np.int64))
 
 
 def test_split_sizes_and_disjoint():
@@ -329,7 +325,7 @@ def test_batches_validation():
 
 def test_dataset_count_mismatch():
     with pytest.raises(ValueError):
-        data.Dataset(np.zeros((2, 2, 2, 1)), np.zeros(3, dtype=np.int64), "bad")
+        data.Dataset(np.zeros((2, 2, 2, 1)), np.zeros(3, dtype=np.int64))
 
 
 def test_synthetic_dataset_properties():

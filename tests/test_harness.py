@@ -2,12 +2,17 @@ import argparse
 import csv
 import dataclasses
 import itertools
+import tempfile
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nirmalpool import cli, data, gradcheck, harness, nn, pooling
+
+LOAD_DATASET_PAIR = harness.load_dataset_pair
 
 
 def synth_config(**overrides):
@@ -273,7 +278,7 @@ def test_run_config_plans_the_network_on_each_dataset_shape():
     for dataset in harness.DATASETS:
         config = harness.RunConfig(dataset=dataset)
         spec = harness.build_model_spec(config)
-        assert len(nn.plan(spec, (1, *harness.IMAGE_SHAPES[dataset]))) == len(spec.conv_filters)
+        assert len(nn.plan(spec, (1, *harness.DATASETS[dataset]))) == len(spec.conv_filters)
     assert harness.RunConfig(dataset="synthetic", pool_targets=((1, 1),))
 
 
@@ -330,8 +335,8 @@ def test_load_dataset_pair_rejects_cifar_images_of_another_shape(tmp_path, monke
     sub.mkdir()
     for name in harness.CIFAR_TRAIN_FILES + harness.CIFAR_TEST_FILES:
         (sub / name).write_bytes(b"")
-    monkeypatch.setattr(data, "load_cifar10", lambda paths, name: data.Dataset(
-        data.ByteImages(np.zeros((2, 28, 28, 3), np.uint8)), np.zeros(2, np.int64), name))
+    monkeypatch.setattr(data, "load_cifar10", lambda paths: data.Dataset(
+        data.ByteImages(np.zeros((2, 28, 28, 3), np.uint8)), np.zeros(2, np.int64)))
     config = harness.RunConfig(dataset="cifar10", data_root=str(tmp_path))
     with pytest.raises(data.FormatError, match=r"cifar10 images are \(28, 28, 3\), "
                                                r"expected \(32, 32, 3\)"):
@@ -361,11 +366,21 @@ def _write_mnist_with_a_directory(sub):
     (sub / names[2]).mkdir()
 
 
+def _write_mnist_with_fewer_labels(sub):
+    rng = np.random.default_rng(0)
+    names = harness.MNIST_FILES["mnist_digits"]
+    for images, labels in (names[:2], names[2:]):
+        data.write_idx_images(sub / images, rng.integers(0, 256, (64, 28, 28)))
+        data.write_idx_labels(sub / labels, rng.integers(0, 10, 60))
+
+
 @pytest.mark.parametrize("write, message", [
     (_write_truncated_mnist, "truncated header"),
     (_write_mnist_label_12, "train-labels-idx1-ubyte: label out of range: 12"),
     (_write_mnist_with_a_directory, "t10k-images-idx3-ubyte: Is a directory"),
-], ids=["truncated", "label_out_of_range", "unreadable"])
+    (_write_mnist_with_fewer_labels,
+     "train-images-idx3-ubyte, {sub}/train-labels-idx1-ubyte: 64 images but 60 labels"),
+], ids=["truncated", "label_out_of_range", "unreadable", "count_mismatch"])
 def test_cli_malformed_data_file_is_a_data_error(tmp_path, capsys, write, message):
     """A data.FormatError, or a dataset file that exists but cannot be read,
     exits 3 (data), not 2, and writes no output."""
@@ -375,7 +390,7 @@ def test_cli_malformed_data_file_is_a_data_error(tmp_path, capsys, write, messag
     code = cli.main(["train", "--dataset", "mnist_digits", "--data-root", str(tmp_path),
                      "--output-dir", str(tmp_path / "out")])
     assert code == cli.EXIT_DATA
-    assert message in capsys.readouterr().err
+    assert message.format(sub=sub) in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -482,6 +497,33 @@ def test_cli_output_dir_below_a_file_exit_code(tmp_path, capsys, reads, command,
     assert (f"output_dir {str(out)!r} is below {str(blocker)!r}, which is not a directory"
             in capsys.readouterr().err)
     assert not reads and blocker.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_cli_results_csv_with_another_header_exit_code(tmp_path, capsys, reads, command):
+    """Rows are appended to results.csv under its header, so an output_dir
+    whose results.csv has another header is rejected before any data is
+    read, and the file is left as it was."""
+    out = tmp_path / "out"
+    out.mkdir()
+    csv_path = out / "results.csv"
+    csv_path.write_text("name,score\nrun,1\n")
+    assert cli.main([command, "--dataset", "synthetic", "--output-dir", str(out)]) \
+        == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert (f"{csv_path} does not start with the header "
+            f"'dataset,variant,seed,epochs,test_loss,test_accuracy'" in captured.err)
+    assert not captured.out and not reads and csv_path.read_text() == "name,score\nrun,1\n"
+
+
+def test_write_report_heads_an_empty_results_csv(tmp_path):
+    (tmp_path / "results.csv").touch()
+    harness.write_report(harness.train(synth_config(epochs=1, output_dir=str(tmp_path))),
+                         tmp_path)
+    with open(tmp_path / "results.csv") as f:
+        rows = list(csv.reader(f))
+    assert rows[0] == harness.CSV_HEADER and len(rows) == 2
+    assert synth_config(output_dir=str(tmp_path))  # its own header is accepted
 
 
 def test_run_config_accepts_an_output_dir_yet_to_be_made(tmp_path):
@@ -618,3 +660,112 @@ def test_fingerprints_are_stable():
     assert harness.RunConfig(
         dataset="mnist_digits", pooling_variant="max2x2", activation_placement="after_conv",
         **common).fingerprint() == "92ad6eb7a987e21d"
+
+
+def test_pool_targets_that_halve_every_stage_take_the_default_fingerprint():
+    """Targets that build the same network give one config, so one run writes
+    one report and one CSV row: `half` on every stage is the default."""
+    for dataset in harness.DATASETS:
+        default = harness.RunConfig(dataset=dataset)
+        stages = len(harness.build_model_spec(default).conv_filters)
+        for targets in ((None,), (None,) * stages):
+            halved = harness.RunConfig(dataset=dataset, pool_targets=targets)
+            assert halved == default and halved.fingerprint() == default.fingerprint()
+    assert harness.RunConfig(pool_targets=((13, 13),)).fingerprint() == \
+        harness.RunConfig(pool_targets=((13, 13), None)).fingerprint()
+
+
+# Text for each cli.SETTINGS row: values RunConfig accepts on their own
+# (valid and boundary; None omits the row), then values it refuses on their
+# own (boundary and garbage). Paths lie under each example's temp dir, whose
+# data root holds no files, so only the synthetic set trains (it is drawn
+# twice as often); epochs is always set, to at most 1.
+SETTING_DRAWS = {
+    "dataset": ([None, "synthetic", *harness.DATASETS], ["mnist_digit", "CIFAR10", ""]),
+    "pooling_variant": ([None, *nn.VARIANTS], ["nirmall", ""]),
+    "activation_placement": ([None, *nn.PLACEMENTS], ["poolonly", "none"]),
+    "epochs": (["0", "1"], ["-1", "1.5", "one"]),
+    "batch_size": ([None, "1", "64"], ["0", "-3", "x"]),
+    "val_fraction": ([None, "0.5", "0.99"], ["0", "1", "nan", "x"]),
+    "seed": ([None, "0", "7"], ["-1", "1e3"]),
+    "lr": ([None, "0.003", "1e300"], ["0", "-1", "inf", "nan", "x"]),
+    "beta1": ([None, "0"], ["1", "-0.1", "x"]),
+    "beta2": ([None, "0.999999"], ["1", "2", "x"]),
+    "epsilon": ([None, "1e-300"], ["0", "-1", "inf", "x"]),
+    "pool_targets": ([None, "half", "half,half", "1x1", "4x4", "1x1,half", "2x2,2x2",
+                      "14x14,5x5"], ["half,half,half", "0x0", "3", "13xhalf", ""]),
+    "train_limit": ([None, "1", "10", "100"], ["0", "-1", "x"]),
+    "test_limit": ([None, "1", "10"], ["0", "-1", "x"]),
+    "data_root": ([None, "{tmp}/empty", "{tmp}/missing", "{tmp}/file"], []),
+    "output_dir": ([None, "{tmp}/out/sub", "{tmp}/ours"],
+                   ["{tmp}/file", "{tmp}/file/sub", "{tmp}/foreign"]),
+}
+# Config-file lines that name no setting.
+GARBAGE_LINES = ["nonsense", "unknown_key = 1", "= 3"]
+
+
+@st.composite
+def config_files(draw):
+    """Config-file text whose rows are all accepted on their own, but for at
+    most one that is refused or a garbage line."""
+    refused = [key for key, (_, values) in SETTING_DRAWS.items() if values]
+    bad = draw(st.sets(st.sampled_from([*refused, "garbage"]), max_size=1))
+    lines = [draw(st.sampled_from(GARBAGE_LINES))] if "garbage" in bad else []
+    for key, (accepted, values) in SETTING_DRAWS.items():
+        value = draw(st.sampled_from(values if key in bad else accepted))
+        if value is not None:
+            lines.append(f"{key} = {value}")
+    return "".join(f"{line}\n" for line in draw(st.permutations(lines)))
+
+
+# The exit-2 errors that README lists as rejected after loading.
+REJECTED_AFTER_LOADING = ("the test set is empty", "leaves an empty train or validation split")
+
+
+@pytest.fixture
+def loads(reads, monkeypatch):
+    """The configs that reached load_dataset_pair, which goes on to load."""
+    record = harness.load_dataset_pair
+    monkeypatch.setattr(harness, "load_dataset_pair",
+                        lambda config: record(config) or LOAD_DATASET_PAIR(config))
+    return reads
+
+
+def test_setting_draws_cover_every_setting():
+    assert list(SETTING_DRAWS) == list(cli.SETTINGS)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # lr = 1e300 is drawn to diverge
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config_files())
+def test_property_config_files_exit_with_a_documented_code(tmp_path, monkeypatch, capsys,
+                                                            loads, text):
+    """Any config file exits 0, 2 (config), 3 (data) or 4 (divergence) with no
+    traceback; one rejected when it is built reads no data, and one that
+    builds exits 2 only for an error README lists as found after loading."""
+    tmp = Path(tempfile.mkdtemp(dir=tmp_path))
+    monkeypatch.chdir(tmp)
+    monkeypatch.delenv(harness.DATA_ROOT_ENV, raising=False)
+    (tmp / "empty").mkdir()
+    (tmp / "file").write_text("not a directory\n")
+    for name, header in (("foreign", "name,score"), ("ours", ",".join(harness.CSV_HEADER))):
+        (tmp / name).mkdir()
+        (tmp / name / "results.csv").write_text(header + "\n")
+    cfg = tmp / "run.cfg"
+    cfg.write_text(text.format(tmp=tmp))
+    try:
+        build("--config", str(cfg))
+        built = True
+    except (ValueError, TypeError):
+        built = False
+    loads.clear()
+    code = cli.main(["train", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_DATA, cli.EXIT_DIVERGENCE), err
+    assert "Traceback" not in err
+    if not built:
+        assert code == cli.EXIT_CONFIG and not loads, err
+    else:
+        assert len(loads) == 1
+        assert code != cli.EXIT_CONFIG or any(m in err for m in REJECTED_AFTER_LOADING), err
