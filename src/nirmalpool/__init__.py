@@ -11,14 +11,11 @@ from .pooling import (
     nirmal_forward,
     output_shape,
 )
-from .tensor import Shape4, elementwise_relu
 
 __all__ = [
     "PoolCache",
     "PoolParams",
-    "Shape4",
     "compute_pool_params",
-    "elementwise_relu",
     "max_pool2x2_forward",
     "max_pool_forward",
     "nirmal_backward",

@@ -1,9 +1,10 @@
 """Dataset loading: IDX (MNIST-style) and CIFAR-10 binary formats,
 normalization, deterministic splits and batching.
 
-IDX layout (big endian): i32 magic (2051 images / 2049 labels), i32 dims,
-then raw unsigned bytes. CIFAR-10 binary records are 3073 bytes: one label
-byte followed by channel-planar 1024R + 1024G + 1024B pixels.
+IDX layout (big endian): i32 magic (2051 images / 2049 labels; its low
+byte is the number of dims), one i32 per dim, then raw unsigned bytes.
+CIFAR-10 binary records are 3073 bytes: one label byte followed by
+channel-planar 1024R + 1024G + 1024B pixels.
 
 A loaded dataset keeps its images as the uint8 bytes it decoded
 (`ByteImages`) and normalizes only what is read: each read divides the bytes
@@ -100,9 +101,11 @@ class Split:
     val: Dataset
 
 
-def _read_idx(path, magic: int, n_dims: int) -> np.ndarray:
-    """Raw uint8 array of an IDX file whose header holds `magic` and n_dims
-    dimensions; the payload must be exactly the bytes those dims call for."""
+def _read_idx(path, magic: int) -> np.ndarray:
+    """Raw uint8 array of an IDX file whose header holds `magic` and as many
+    dimensions as the magic's low byte says; the payload must be exactly the
+    bytes those dims call for."""
+    n_dims = magic & 0xFF
     data = Path(path).read_bytes()
     header_len = 4 * (1 + n_dims)
     if len(data) < header_len:
@@ -127,12 +130,12 @@ def _write_idx(path, magic: int, array: np.ndarray) -> None:
 
 def load_idx_images(path) -> np.ndarray:
     """Raw uint8 image array (N, H, W) from an IDX image file."""
-    return _read_idx(path, IDX_IMAGE_MAGIC, 3)
+    return _read_idx(path, IDX_IMAGE_MAGIC)
 
 
 def load_idx_labels(path) -> np.ndarray:
     """Raw uint8 label array (N,) from an IDX label file."""
-    return _read_idx(path, IDX_LABEL_MAGIC, 1)
+    return _read_idx(path, IDX_LABEL_MAGIC)
 
 
 def write_idx_images(path, images: np.ndarray) -> None:
@@ -143,8 +146,10 @@ def write_idx_labels(path, labels: np.ndarray) -> None:
     _write_idx(path, IDX_LABEL_MAGIC, labels)
 
 
-def load_mnist(images_path, labels_path) -> Dataset:
-    """Decode an IDX image/label pair into a dataset of byte images."""
+def load_mnist(paths: Sequence) -> Dataset:
+    """Decode an IDX (images, labels) pair of paths into a dataset of byte
+    images."""
+    images_path, labels_path = paths
     raw = load_idx_images(images_path)
     labels = load_idx_labels(labels_path)
     if len(raw) != len(labels):

@@ -11,7 +11,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import nn, pooling
-from .tensor import Shape4
 
 EPS = 1e-5
 TOL = 1e-5
@@ -134,10 +133,10 @@ def toy_model_spec(variant: str = "nirmal") -> nn.ModelSpec:
 
 
 def check_model_end_to_end(rng, spec: nn.ModelSpec,
-                           shape: Shape4 = Shape4(2, 8, 8, 1)) -> CheckResult:
+                           shape: tuple[int, int, int, int] = (2, 8, 8, 1)) -> CheckResult:
     params = nn.init_params(spec, shape, seed=int(rng.integers(1 << 31)))
-    batch = rng.uniform(0.0, 1.0, size=tuple(shape))
-    labels = rng.integers(0, spec.dense_units[-1], size=shape.batch)
+    batch = rng.uniform(0.0, 1.0, size=shape)
+    labels = rng.integers(0, spec.dense_units[-1], size=shape[0])
     logits, cache = nn.model_forward(spec, params, batch)
     grads = nn.model_backward(spec, params, cache, nn.softmax_cross_entropy(logits, labels)[1])
 

@@ -93,6 +93,8 @@ class RunConfig:
                              f"output_dir {self.output_dir!r} is below {str(existing)!r}, "
                              f"which is not a directory")
         csv_path = out / "results.csv"  # rows are appended under its header, so it must be ours
+        if csv_path.exists() and not csv_path.is_file():
+            raise ValueError(f"{csv_path} exists and is not a regular file")
         if csv_path.is_file() and csv_path.stat().st_size:
             with open(csv_path, errors="replace") as f:
                 if f.readline().rstrip("\n") != ",".join(CSV_HEADER):
@@ -146,7 +148,7 @@ def load_dataset_pair(config: RunConfig) -> tuple[datasets.Dataset, datasets.Dat
         names, load = (CIFAR_TRAIN_FILES, CIFAR_TEST_FILES), datasets.load_cifar10
     else:
         files = MNIST_FILES[config.dataset]
-        names, load = (files[:2], files[2:]), lambda paths: datasets.load_mnist(*paths)
+        names, load = (files[:2], files[2:]), datasets.load_mnist
     root = config.data_root or os.environ.get(DATA_ROOT_ENV)
     if root is None:
         raise DataPathError(f"no data root configured; set --data-root or ${DATA_ROOT_ENV}")

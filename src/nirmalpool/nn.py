@@ -36,7 +36,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import pooling
-from .tensor import Shape4, elementwise_relu
 
 
 # Upper bound, in bytes, on each stage's conv output and, separately, on its
@@ -128,6 +127,11 @@ def conv2d_backward(x: np.ndarray, kernels: np.ndarray, grad_out: np.ndarray,
     return grad_x, grad_wb[:k].reshape(kh, kw, c_in, c_out), grad_wb[k]
 
 
+def _relu(t: np.ndarray) -> np.ndarray:
+    """max(0, x) per element; negative zero normalizes to +0.0."""
+    return np.maximum(t, 0.0) + 0.0
+
+
 def dense_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Affine map x @ W + b for x of shape (B, in_features)."""
     if x.shape[1] != weights.shape[0]:
@@ -186,6 +190,10 @@ class ModelSpec:
             raise ValueError(f"unknown activation_placement {self.activation_placement!r}")
         if not self.dense_units:
             raise ValueError("dense_units must hold at least the output layer")
+        for name in ("conv_filters", "dense_units"):
+            for v in getattr(self, name):
+                if not (type(v) is int and v >= 1):
+                    raise ValueError(f"{name} entry {v!r} is not an int >= 1")
         missing = len(self.conv_filters) - len(self.pool_targets)
         if missing < 0:
             raise ValueError(f"{len(self.pool_targets)} pool_targets for "
@@ -207,7 +215,7 @@ class Stage:
     relu: bool  # a ReLU is fused after the pool
 
 
-def plan(spec: ModelSpec, input_shape: Shape4) -> tuple[Stage, ...]:
+def plan(spec: ModelSpec, input_shape: tuple[int, int, int, int]) -> tuple[Stage, ...]:
     """Each conv stage's geometry on inputs of `input_shape`, from integers
     alone: the one place the variants differ. max2x2 pools 2x2, fused with a
     ReLU only under after_conv; nirmal runs the fused adaptive pool toward the
@@ -230,7 +238,8 @@ def plan(spec: ModelSpec, input_shape: Shape4) -> tuple[Stage, ...]:
     return tuple(stages)
 
 
-def init_params(spec: ModelSpec, input_shape: Shape4, seed: int) -> dict[str, np.ndarray]:
+def init_params(spec: ModelSpec, input_shape: tuple[int, int, int, int],
+                seed: int) -> dict[str, np.ndarray]:
     """Kaiming-style normal init (std = sqrt(2 / fan_in)), zero biases; the
     layer sizes come from `plan`, as in model_forward."""
     rng = np.random.default_rng(seed)
@@ -263,7 +272,7 @@ class ForwardCache:
 def _pool_cache_images(pc: pooling.PoolCache, images: slice) -> pooling.PoolCache:
     """The part of a whole-batch pool cache that covers `images`."""
     return pooling.PoolCache(pc.win[images], pc.params,
-                             Shape4(images.stop - images.start, *pc.input_shape[1:]),
+                             (images.stop - images.start, *pc.input_shape[1:]),
                              None if pc.relu_out is None else pc.relu_out[images])
 
 
@@ -297,7 +306,7 @@ def model_forward(spec: ModelSpec, params: dict[str, np.ndarray],
                 maps.append(np.empty((b, *x.shape[1:]), x.dtype))
                 cache.pool_caches.append(pooling.PoolCache(
                     np.empty((b, *pc.win.shape[1:]), pc.win.dtype), pc.params,
-                    Shape4(b, *pc.input_shape[1:]), None if pc.relu_out is None else maps[-1]))
+                    (b, *pc.input_shape[1:]), None if pc.relu_out is None else maps[-1]))
             maps[idx][images] = x
             cache.pool_caches[idx - 1].win[images] = pc.win
     cache.conv_inputs = maps[:-1]
@@ -309,7 +318,7 @@ def model_forward(spec: ModelSpec, params: dict[str, np.ndarray],
         cache.dense_inputs.append(x)
         x = dense_forward(x, params[f"dense{idx}_w"], params[f"dense{idx}_b"])
         if idx < last:
-            x = elementwise_relu(x)
+            x = _relu(x)
     return x, cache
 
 
@@ -328,6 +337,9 @@ def model_backward(spec: ModelSpec, params: dict[str, np.ndarray], cache: Forwar
             # x is the previous layer's ReLU output: positive exactly where its input was.
             g = g * (x > 0.0)
     pooled_grad = g.reshape(cache.flat_input_shape)
+    for idx in range(len(spec.conv_filters), 0, -1):
+        for key in (f"conv{idx}_w", f"conv{idx}_b"):
+            grads[key] = np.zeros_like(params[key])
     for images in cache.micro_batches:
         g = pooled_grad[images]
         for idx in range(len(spec.conv_filters), 0, -1):
@@ -337,9 +349,6 @@ def model_backward(spec: ModelSpec, params: dict[str, np.ndarray], cache: Forwar
             # Nothing reads the gradient w.r.t. the network input.
             g, grad_w, grad_b = conv2d_backward(cache.conv_inputs[idx - 1][images],
                                                 params[f"conv{idx}_w"], g, need_grad_x=idx > 1)
-            if images.start == 0:
-                grads[f"conv{idx}_w"], grads[f"conv{idx}_b"] = grad_w, grad_b
-            else:
-                grads[f"conv{idx}_w"] += grad_w
-                grads[f"conv{idx}_b"] += grad_b
+            grads[f"conv{idx}_w"] += grad_w
+            grads[f"conv{idx}_b"] += grad_b
     return grads

@@ -1,5 +1,9 @@
 """Adaptive max pooling with fused ReLU, plus a fixed 2x2 max-pool baseline.
 
+Maps are numpy arrays of shape (batch, height, width, channels), float64
+unless a caller passes float32: every output and gradient follows its
+input's dtype.
+
 The adaptive operator derives its window and stride from a requested output
 size:
 
@@ -22,11 +26,9 @@ read. So a caller must not mutate a fused pool's output before backward.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-
-from .tensor import Shape4
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,7 @@ class PoolParams:
                 (self.out_w - 1) * self.stride_w + self.window_w)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PoolCache:
     """Backward-pass bookkeeping for one pooling application: one byte per
     output.
@@ -60,13 +62,13 @@ class PoolCache:
 
     win: np.ndarray
     params: PoolParams
-    input_shape: Shape4
+    input_shape: tuple[int, int, int, int]  # (batch, height, width, channels)
     relu_out: np.ndarray | None = None
 
     @property
     def argmax(self) -> np.ndarray:
-        """Per output element, the flat (row-major BHWC) int64 input
-        coordinate that supplied the maximum."""
+        """Per output element, the flat row-major int64 input coordinate
+        that supplied the maximum."""
         p, (b, h, w, c), win = self.params, self.input_shape, self.win
         # Offset k = dy*P_w + dx lies dy*W + dx = k + dy*(W - P_w) pixels
         # past the window's top-left pixel. Built in place on one int64 array.
@@ -149,15 +151,14 @@ def max_pool_forward(x: np.ndarray, params: PoolParams) -> tuple[np.ndarray, Poo
         win += 1
         win *= differs
     win[np.isnan(out)] = 0
-    return out, PoolCache(win=win, params=p, input_shape=Shape4(b, h, w, c))
+    return out, PoolCache(win=win, params=p, input_shape=(b, h, w, c))
 
 
 def _fuse_relu(pooled: np.ndarray, cache: PoolCache) -> tuple[np.ndarray, PoolCache]:
-    # elementwise_relu, in place on the fresh pooled array: +0.0 turns -0.0 into +0.0.
+    # ReLU in place on the fresh pooled array: +0.0 turns -0.0 into +0.0.
     np.maximum(pooled, 0.0, out=pooled)
     pooled += 0.0
-    cache.relu_out = pooled
-    return pooled, cache
+    return pooled, replace(cache, relu_out=pooled)
 
 
 def nirmal_forward(x: np.ndarray, h_out_target: int, w_out_target: int) -> tuple[np.ndarray, PoolCache]:
@@ -177,7 +178,7 @@ def nirmal_backward(grad_out: np.ndarray, cache: PoolCache) -> np.ndarray:
     argmax, relu_mask = cache.argmax, cache.relu_mask
     if relu_mask is not None:
         grad_out = grad_out * relu_mask
-    grad_in = np.zeros(cache.input_shape.element_count(), dtype=grad_out.dtype)
+    grad_in = np.zeros(math.prod(cache.input_shape), dtype=grad_out.dtype)
     # Overlapping windows (P > S) accumulate additively.
     np.add.at(grad_in, argmax.ravel(), grad_out.ravel())
     return grad_in.reshape(cache.input_shape)

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from nirmalpool import gradcheck, harness, nn, pooling
-from nirmalpool.tensor import Shape4, elementwise_relu
 
 import oracles
 
@@ -67,7 +66,7 @@ def test_fusion_identity():
         params = pooling.compute_pool_params(shape[1], shape[2], th, tw)
         plain, _ = pooling.max_pool_forward(x, params)
         fused, _ = pooling.nirmal_forward(x, th, tw)
-        assert (fused == elementwise_relu(plain)).all()
+        assert (fused == np.maximum(plain, 0.0)).all()
     report("fusion-identity")
 
 

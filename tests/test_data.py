@@ -71,7 +71,7 @@ def test_load_mnist_normalization(tmp_path):
     images = np.array([[[0, 128], [255, 64]]], dtype=np.uint8)
     data.write_idx_images(tmp_path / "img", images)
     data.write_idx_labels(tmp_path / "lab", np.array([7], dtype=np.uint8))
-    ds = data.load_mnist(tmp_path / "img", tmp_path / "lab")
+    ds = data.load_mnist((tmp_path / "img", tmp_path / "lab"))
     assert ds.images.shape == (1, 2, 2, 1)
     read = np.asarray(ds.images)
     assert read.max() == 1.0
@@ -130,7 +130,7 @@ def loaded_pair(tmp_path, loader):
         raw = rng.integers(0, 256, size=(7, 5, 4), dtype=np.uint8)
         data.write_idx_images(tmp_path / "img", raw)
         data.write_idx_labels(tmp_path / "lab", rng.integers(0, 10, 7))
-        ds = data.load_mnist(tmp_path / "img", tmp_path / "lab")
+        ds = data.load_mnist((tmp_path / "img", tmp_path / "lab"))
         return ds, raw[..., None].astype(np.float64) / 255.0
     records = rng.integers(0, 256, size=(7, data.CIFAR_RECORD_BYTES), dtype=np.uint8)
     records[:, 0] %= 10
@@ -252,7 +252,7 @@ def test_fuzz_idx_loaders_raise_only_value_errors(images, labels):
         labels_path.write_bytes(labels)
         loads_or_rejects(data.load_idx_images, images_path)
         loads_or_rejects(data.load_idx_labels, labels_path)
-        loads_or_rejects(data.load_mnist, images_path, labels_path)
+        loads_or_rejects(data.load_mnist, (images_path, labels_path))
 
 
 @settings(deadline=None, max_examples=50)

@@ -516,6 +516,19 @@ def test_cli_results_csv_with_another_header_exit_code(tmp_path, capsys, reads, 
     assert not captured.out and not reads and csv_path.read_text() == "name,score\nrun,1\n"
 
 
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_cli_results_csv_that_is_not_a_file_exit_code(tmp_path, capsys, reads, command):
+    """A results.csv that is a directory could take no row once training is
+    done, so it is rejected before any data is read."""
+    csv_path = tmp_path / "out" / "results.csv"
+    csv_path.mkdir(parents=True)
+    assert cli.main([command, "--dataset", "synthetic", "--epochs", "1",
+                     "--output-dir", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"{csv_path} exists and is not a regular file" in captured.err
+    assert not captured.out and not reads and csv_path.is_dir()
+
+
 def test_write_report_heads_an_empty_results_csv(tmp_path):
     (tmp_path / "results.csv").touch()
     harness.write_report(harness.train(synth_config(epochs=1, output_dir=str(tmp_path))),

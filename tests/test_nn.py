@@ -8,7 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from nirmalpool import gradcheck, nn, optim, pooling
-from nirmalpool.tensor import Shape4
 
 import oracles
 
@@ -207,7 +206,7 @@ def _is_view_of(x, whole):
 
 def test_model_backward_skips_input_gradient(monkeypatch):
     spec = nn.ModelSpec()
-    params = nn.init_params(spec, Shape4(1, 28, 28, 1), seed=0)
+    params = nn.init_params(spec, (1, 28, 28, 1), seed=0)
     batch = np.random.default_rng(6).uniform(size=(2, 28, 28, 1))
     logits, cache = nn.model_forward(spec, params, batch)
     _, grad_logits = nn.softmax_cross_entropy(logits, np.array([3, 7]))
@@ -240,6 +239,29 @@ def test_dense_backward_finite_differences():
 def test_dense_shape_error():
     with pytest.raises(ValueError):
         nn.dense_forward(np.zeros((2, 3)), np.zeros((4, 5)), np.zeros(5))
+
+
+def test_relu_examples():
+    x = np.array([-1.5, 0.0, 2.0, -0.0]).reshape(1, 2, 2, 1)
+    out = nn._relu(x)
+    assert out.ravel().tolist() == [0.0, 0.0, 2.0, 0.0]
+    nonneg = np.abs(np.random.default_rng(0).normal(size=(2, 3, 3, 2)))
+    assert (nn._relu(nonneg) == nonneg).all()
+    neg = -np.abs(np.random.default_rng(1).normal(size=(2, 3, 3, 2))) - 0.1
+    assert (nn._relu(neg) == 0.0).all()
+
+
+def test_relu_normalizes_negative_zero():
+    out = nn._relu(np.full((1, 1, 1, 1), -0.0))
+    assert not np.signbit(out).any()
+
+
+def test_relu_idempotent():
+    rng = np.random.default_rng(2)
+    for _ in range(20):
+        x = rng.normal(scale=5.0, size=tuple(rng.integers(1, 9, size=4)))
+        once = nn._relu(x)
+        assert (nn._relu(once) == once).all()
 
 
 def test_softmax_uniform_logits():
@@ -279,7 +301,7 @@ def test_softmax_finite_differences():
 
 def test_zero_weight_model_gives_uniform_logits():
     spec = gradcheck.toy_model_spec("nirmal")
-    params = nn.init_params(spec, Shape4(1, 8, 8, 1), seed=0)
+    params = nn.init_params(spec, (1, 8, 8, 1), seed=0)
     params = {k: np.zeros_like(v) for k, v in params.items()}
     batch = np.random.default_rng(9).uniform(size=(4, 8, 8, 1))
     logits, _ = nn.model_forward(spec, params, batch)
@@ -294,9 +316,9 @@ def test_zero_weight_model_gives_uniform_logits():
 # 8 read 7 rows and columns, and the 2x2 pool on 5 reads 4.
 TRIMMING = {
     "nirmal_trimming": (nn.ModelSpec(conv_filters=(2, 2), dense_units=(8, 2),
-                                     pool_targets=((10, 10), (3, 3))), Shape4(2, 12, 12, 1)),
+                                     pool_targets=((10, 10), (3, 3))), (2, 12, 12, 1)),
     "max2x2_trimming": (nn.ModelSpec(pooling_variant="max2x2", conv_filters=(2, 2),
-                                     dense_units=(8, 2)), Shape4(2, 16, 16, 1)),
+                                     dense_units=(8, 2)), (2, 16, 16, 1)),
 }
 
 
@@ -307,7 +329,7 @@ def test_model_end_to_end_finite_differences(case):
         _, cache = nn.model_forward(spec, nn.init_params(spec, shape, seed=0), np.zeros(shape))
         assert cache.pool_caches[1].input_shape[1] < cache.conv_inputs[1].shape[1] - 2
     else:
-        spec, shape = gradcheck.toy_model_spec(case), Shape4(2, 8, 8, 1)
+        spec, shape = gradcheck.toy_model_spec(case), (2, 8, 8, 1)
     result = gradcheck.check_model_end_to_end(np.random.default_rng(11), spec, shape)
     assert result.max_rel_error < 1e-5
 
@@ -389,7 +411,7 @@ def test_pool_screen_planted_cases(shape, params, plant, ok):
 @pytest.mark.parametrize("dense_units", [(64, 32, 10), (10,)])
 def test_model_any_dense_depth(dense_units):
     spec = dataclasses.replace(gradcheck.toy_model_spec("nirmal"), dense_units=dense_units)
-    params = nn.init_params(spec, Shape4(1, 8, 8, 1), seed=15)
+    params = nn.init_params(spec, (1, 8, 8, 1), seed=15)
     logits, _ = nn.model_forward(spec, params, np.random.default_rng(16).uniform(size=(3, 8, 8, 1)))
     assert logits.shape == (3, 10)
     result = gradcheck.check_model_end_to_end(np.random.default_rng(17), spec)
@@ -399,7 +421,7 @@ def test_model_any_dense_depth(dense_units):
 def test_sgd_step_decreases_loss():
     spec = gradcheck.toy_model_spec("nirmal")
     rng = np.random.default_rng(12)
-    params = nn.init_params(spec, Shape4(1, 8, 8, 1), seed=12)
+    params = nn.init_params(spec, (1, 8, 8, 1), seed=12)
     batch = rng.uniform(size=(1, 8, 8, 1))
     labels = np.array([1])
     logits, cache = nn.model_forward(spec, params, batch)
@@ -413,7 +435,7 @@ def test_sgd_step_decreases_loss():
 
 def test_model_forward_deterministic():
     spec = gradcheck.toy_model_spec("nirmal")
-    params = nn.init_params(spec, Shape4(1, 8, 8, 1), seed=13)
+    params = nn.init_params(spec, (1, 8, 8, 1), seed=13)
     batch = np.random.default_rng(14).uniform(size=(3, 8, 8, 1))
     a, _ = nn.model_forward(spec, params, batch)
     b, _ = nn.model_forward(spec, params, batch)
@@ -423,7 +445,7 @@ def test_model_forward_deterministic():
 @pytest.mark.parametrize("variant", ["nirmal", "max2x2"])
 def test_mnist_architecture_shape_trace(variant):
     spec = nn.ModelSpec(pooling_variant=variant)
-    params = nn.init_params(spec, Shape4(1, 28, 28, 1), seed=0)
+    params = nn.init_params(spec, (1, 28, 28, 1), seed=0)
     logits, cache = nn.model_forward(spec, params, np.zeros((1, 28, 28, 1)))
     conv_in = [a.shape[1:] for a in cache.conv_inputs]
     pool_in = [tuple(pc.input_shape)[1:] for pc in cache.pool_caches]
@@ -444,7 +466,7 @@ def test_mnist_architecture_shape_trace(variant):
 def test_pool_caches_keep_one_small_integer_per_output(spec):
     """The forward keeps the winning offset, not a flat int64 index or a
     bool mask; backward derives both from it and the fused output."""
-    params = nn.init_params(spec, Shape4(1, 28, 28, 1), seed=0)
+    params = nn.init_params(spec, (1, 28, 28, 1), seed=0)
     logits, cache = nn.model_forward(spec, params, np.random.default_rng(21).normal(
         size=(2, 28, 28, 1)))
     fused = not (spec.pooling_variant == "max2x2" and spec.activation_placement == "pool_only")
@@ -497,7 +519,7 @@ def _assert_close(actual, expected, rtol):
 def test_cropped_convs_are_the_uncropped_network(monkeypatch, spec, shape):
     rng = np.random.default_rng(18)
     params = {k: v + 0.1 * rng.standard_normal(v.shape)  # nonzero biases
-              for k, v in nn.init_params(spec, Shape4(*shape), seed=18).items()}
+              for k, v in nn.init_params(spec, shape, seed=18).items()}
     batch, labels = rng.normal(size=shape), rng.integers(0, 10, shape[0])
     logits, cache, grads, pool_grads = _run_model(monkeypatch, spec, params, batch, labels)
     plan = nn.plan
@@ -537,7 +559,7 @@ def test_uncropped_conv_reads_its_input_itself(monkeypatch):
     """Where the pool reads the whole conv output, the conv gets a view of
     the stage's whole input, not a copy of it."""
     spec = nn.ModelSpec()
-    params = nn.init_params(spec, Shape4(1, 28, 28, 1), seed=0)
+    params = nn.init_params(spec, (1, 28, 28, 1), seed=0)
     batch = np.random.default_rng(20).uniform(size=(2, 28, 28, 1))
     inputs = []
     forward = nn.conv2d_forward
@@ -583,7 +605,7 @@ def test_micro_batches_are_the_whole_batch_network(monkeypatch, spec, shape):
     The stages run micro-batch by micro-batch, forward and backward."""
     rng = np.random.default_rng(23)
     params = {k: v + 0.1 * rng.standard_normal(v.shape)  # nonzero biases
-              for k, v in nn.init_params(spec, Shape4(*shape), seed=23).items()}
+              for k, v in nn.init_params(spec, shape, seed=23).items()}
     batch, labels = rng.normal(size=shape), rng.integers(0, 10, shape[0])
     stage_of = {id(params[f"conv{i}_w"]): i for i in (1, 2)}
     calls = []
@@ -632,12 +654,12 @@ def test_training_step_builds_no_full_batch_conv_output():
     """One training step at the CIFAR shape allocates, at its peak, less
     than conv1's output for the whole batch (64x29x29x32 float64, 13.8 MB)."""
     spec = nn.ModelSpec(activation_placement="after_conv", pool_targets=((14, 14), (5, 5)))
-    shape = Shape4(64, 32, 32, 3)
+    shape = (64, 32, 32, 3)
     rng = np.random.default_rng(24)
     params = nn.init_params(spec, shape, seed=24)
-    batch, labels = rng.uniform(size=shape), rng.integers(0, 10, shape.batch)
+    batch, labels = rng.uniform(size=shape), rng.integers(0, 10, shape[0])
     state = optim.init_adam(params)
-    conv1_output = shape.batch * math.prod(nn.plan(spec, shape)[0].pool.footprint) * 32 * 8
+    conv1_output = shape[0] * math.prod(nn.plan(spec, shape)[0].pool.footprint) * 32 * 8
     assert conv1_output == 13_778_944
     tracemalloc.start()
     try:
@@ -653,10 +675,10 @@ def test_training_step_builds_no_full_batch_conv_output():
 # The benchmark's three steps: training at MNIST shape (halving) and at CIFAR
 # shape (overlapping targets), and a max2x2 eval forward.
 CONV_CALL_CASES = [
-    pytest.param(nn.ModelSpec(), Shape4(64, 28, 28, 1), True, id="mnist_train"),
+    pytest.param(nn.ModelSpec(), (64, 28, 28, 1), True, id="mnist_train"),
     pytest.param(nn.ModelSpec(activation_placement="after_conv", pool_targets=((14, 14), (5, 5))),
-                 Shape4(64, 32, 32, 3), True, id="cifar_train_overlap"),
-    pytest.param(nn.ModelSpec(pooling_variant="max2x2"), Shape4(64, 28, 28, 1), False,
+                 (64, 32, 32, 3), True, id="cifar_train_overlap"),
+    pytest.param(nn.ModelSpec(pooling_variant="max2x2"), (64, 28, 28, 1), False,
                  id="mnist_eval"),
 ]
 
@@ -668,7 +690,7 @@ def test_every_conv_call_fits_the_micro_batch_budget(monkeypatch, spec, shape, t
     MICRO_BATCH_BYTES; every stage still sees every image once each way."""
     rng = np.random.default_rng(25)
     params = nn.init_params(spec, shape, seed=25)
-    batch, labels = rng.uniform(size=shape), rng.integers(0, 10, shape.batch)
+    batch, labels = rng.uniform(size=shape), rng.integers(0, 10, shape[0])
     calls = []  # (direction, stage's C_in, images, im2col bytes, conv output bytes)
     forward, backward = nn.conv2d_forward, nn.conv2d_backward
 
@@ -698,7 +720,7 @@ def test_every_conv_call_fits_the_micro_batch_budget(monkeypatch, spec, shape, t
         assert cols_bytes <= nn.MICRO_BATCH_BYTES and out_bytes <= nn.MICRO_BATCH_BYTES
     for direction in ("forward", "backward") if train else ("forward",):
         for c_in in (shape[3], *spec.conv_filters[:-1]):
-            assert sum(n for d, c, n, *_ in calls if (d, c) == (direction, c_in)) == shape.batch
+            assert sum(n for d, c, n, *_ in calls if (d, c) == (direction, c_in)) == shape[0]
 
 
 @st.composite
@@ -713,7 +735,7 @@ def model_case(draw):
                         activation_placement=draw(placement),
                         conv_filters=(2,) * stages, dense_units=(4, 3),
                         pool_targets=tuple(draw(target) for _ in range(stages)))
-    return spec, Shape4(1, h, w, draw(st.integers(1, 2)))
+    return spec, (1, h, w, draw(st.integers(1, 2)))
 
 
 @settings(deadline=None)
@@ -741,8 +763,8 @@ def test_init_params_runs_no_conv_or_pool(monkeypatch):
         monkeypatch.setattr(module, name, fail)
     for variant in ("nirmal", "max2x2"):
         spec = nn.ModelSpec(pooling_variant=variant, pool_targets=((14, 14), (5, 5)))
-        params = nn.init_params(spec, Shape4(1, 32, 32, 3), seed=0)
-        last = nn.plan(spec, Shape4(1, 32, 32, 3))[-1].pool
+        params = nn.init_params(spec, (1, 32, 32, 3), seed=0)
+        last = nn.plan(spec, (1, 32, 32, 3))[-1].pool
         assert params["dense1_w"].shape == (last.out_h * last.out_w * 64, 128)
 
 
@@ -753,7 +775,7 @@ def test_model_spec_placement_defaults_to_the_variant():
 
 def _logits_and_grads(variant, placement, batch, labels):
     spec = nn.ModelSpec(pooling_variant=variant, activation_placement=placement)
-    params = nn.init_params(spec, Shape4(*batch.shape), seed=16)
+    params = nn.init_params(spec, batch.shape, seed=16)
     logits, cache = nn.model_forward(spec, params, batch)
     _, grad_logits = nn.softmax_cross_entropy(logits, labels)
     grads = nn.model_backward(spec, params, cache, grad_logits)
@@ -796,6 +818,18 @@ def test_model_spec_validation():
             with pytest.raises(ValueError):
                 nn.ModelSpec(pooling_variant=variant, pool_targets=(target,))
         assert nn.ModelSpec(pooling_variant=variant, pool_targets=((1, 7), None))
+
+
+@pytest.mark.parametrize("layers", [
+    {"conv_filters": (0, 64)}, {"conv_filters": (-1, 64)}, {"conv_filters": (2.5, 64)},
+    {"conv_filters": (True, 64)}, {"dense_units": (0, 10)}, {"dense_units": (128, 0)},
+    {"dense_units": (128, 10.0)},
+])
+def test_model_spec_rejects_a_layer_width_that_is_not_a_positive_int(layers):
+    """Each would otherwise fail later, in init_params or numpy, or build a
+    network with no logits."""
+    with pytest.raises(ValueError, match="is not an int >= 1"):
+        nn.ModelSpec(**layers)
 
 
 @pytest.mark.parametrize("variant", ["nirmal", "max2x2"])

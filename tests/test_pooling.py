@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from nirmalpool import pooling
-from nirmalpool.tensor import elementwise_relu
 
 import oracles
 
@@ -100,7 +99,7 @@ def test_fusion_identity_random():
         params = pooling.compute_pool_params(shape[1], shape[2], th, tw)
         plain, _ = pooling.max_pool_forward(x, params)
         fused, _ = pooling.nirmal_forward(x, th, tw)
-        assert (fused == elementwise_relu(plain)).all()
+        assert (fused == np.maximum(plain, 0.0)).all()
 
 
 def test_append_zero_oracle_random():
@@ -132,7 +131,7 @@ def test_exact_division_equivalence():
     p = pooling.compute_pool_params(12, 12, 6, 6)
     assert (p.window_h, p.stride_h) == (2, 2)
     plain, _ = pooling.max_pool_forward(x, p)
-    assert (fused == elementwise_relu(plain)).all()
+    assert (fused == np.maximum(plain, 0.0)).all()
 
 
 def test_nirmal_backward_routing():
@@ -254,7 +253,7 @@ def test_property_forward_matches_oracles(case):
     assert plain.shape == expected_plain.shape
     assert (plain == expected_plain).all()
     assert (fused == oracles.nirmal_oracle(x, th, tw)).all()
-    # The tracer reads argmax as flat row-major BHWC int64 indices into x.
+    # The tracer reads argmax as flat row-major int64 indices into x.
     for cache in (plain_cache, fused_cache):
         assert cache.argmax.dtype == np.int64
         assert (x.reshape(-1)[cache.argmax] == plain).all()
