@@ -6,11 +6,11 @@ byte is the number of dims), one i32 per dim, then raw unsigned bytes.
 CIFAR-10 binary records are 3073 bytes: one label byte followed by
 channel-planar 1024R + 1024G + 1024B pixels.
 
-A loaded dataset keeps its images as the uint8 bytes it decoded
-(`ByteImages`) and normalizes only what is read: each read divides the bytes
-read by 255 into a fresh float64 array. So the full MNIST protocol's 70k
-images take 55 MB, not 439 MB as float64, and CIFAR-10's 60k take 184 MB,
-not 1.47 GB; a split or subset copies bytes, not floats.
+Every dataset, loaded or the built-in synthetic set, keeps its images as
+uint8 bytes (`ByteImages`) and normalizes only what is read: each read
+divides the bytes read by 255 into a fresh float64 array. So the full MNIST
+protocol's 70k images take 55 MB, not 439 MB as float64, and CIFAR-10's 60k
+take 184 MB, not 1.47 GB; a split or subset copies bytes, not floats.
 """
 
 import math
@@ -31,25 +31,15 @@ class FormatError(ValueError):
     label outside 0-9, or IDX images and labels of unequal counts)."""
 
 
-def _normalize(raw) -> np.ndarray:
-    """raw / 255 as a fresh float64 array, or a float64 scalar for one pixel.
-    The uint8 to float64 cast is exact, so the values are bitwise those of
-    raw.astype(np.float64) / 255.0."""
-    out = np.empty(np.shape(raw))
-    np.divide(raw, 255.0, out=out)
-    return out if out.ndim else out[()]
-
-
 class ByteImages:
     """Read-only (N, H, W, C) images stored as one uint8 byte per pixel.
 
-    Indexing (as an ndarray is indexed) and `np.asarray` return the bytes
-    read divided by 255, as a fresh float64 array in [0, 1]; `take` returns
-    the bytes it picks as a new ByteImages. `raw` is the read-only byte
-    array.
+    Indexing (as an ndarray is indexed) returns the bytes read divided by
+    255, as a fresh float64 array in [0, 1], or a float64 for one pixel; the
+    uint8 to float64 cast is exact, so a read is bitwise
+    raw.astype(np.float64) / 255.0. `take` returns the images it picks as a
+    new ByteImages. `raw` is the read-only byte array.
     """
-
-    dtype = np.dtype(np.float64)  # the dtype a read returns
 
     def __init__(self, raw: np.ndarray):
         if raw.dtype != np.uint8 or raw.ndim != 4:
@@ -65,23 +55,15 @@ class ByteImages:
         return len(self.raw)
 
     def __getitem__(self, key) -> np.ndarray:
-        return _normalize(self.raw[key])
+        return self.raw[key] / 255.0
 
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        if copy is False:
-            raise ValueError("ByteImages are bytes; reading them as floats copies")
-        images = _normalize(self.raw)
-        return images if dtype is None else images.astype(dtype, copy=False)
-
-    def take(self, indices, axis: int = 0) -> "ByteImages":
-        return ByteImages(self.raw.take(indices, axis=axis))
+    def take(self, indices) -> "ByteImages":
+        return ByteImages(self.raw.take(indices, axis=0))
 
 
 @dataclass
 class Dataset:
-    # (N, H, W, C); a read gives float64 in [0, 1]. ByteImages for a loaded
-    # file, a float64 ndarray for the synthetic set.
-    images: np.ndarray | ByteImages
+    images: ByteImages  # (N, H, W, C); a read gives float64 in [0, 1]
     labels: np.ndarray  # (N,) int64 in [0, 10)
 
     def __post_init__(self):
@@ -92,7 +74,7 @@ class Dataset:
         return len(self.labels)
 
     def subset(self, indices: np.ndarray) -> "Dataset":
-        return Dataset(self.images.take(indices, axis=0), self.labels[indices])
+        return Dataset(self.images.take(indices), self.labels[indices])
 
 
 @dataclass
@@ -220,9 +202,11 @@ def batches(dataset: Dataset, batch_size: int, seed: int,
 
 
 def synthetic_two_class(n: int, seed: int) -> Dataset:
-    """Linearly separable 8x8 toy set: class 1 carries a bright corner patch."""
+    """Linearly separable 8x8 toy set: class 1 carries a bright corner patch.
+    The pixels are drawn as floats and stored as bytes, rounded to 1/255."""
     rng = np.random.default_rng(seed)
     images = rng.uniform(0.0, 0.2, size=(n, 8, 8, 1))
     labels = rng.integers(0, 2, size=n).astype(np.int64)
     images[labels == 1, :4, :4, :] += 0.8
-    return Dataset(np.clip(images, 0.0, 1.0), labels)
+    images = np.round(np.clip(images, 0.0, 1.0) * 255).astype(np.uint8)
+    return Dataset(ByteImages(images), labels)

@@ -1,20 +1,20 @@
 """Adam optimizer over named parameter dictionaries."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 
 @dataclass
 class AdamState:
-    lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-7
-    step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    lr: float
+    beta1: float
+    beta2: float
+    epsilon: float
+    step: int
+    m: dict[str, np.ndarray]
+    v: dict[str, np.ndarray]
 
 
 def check_settings(lr: float, beta1: float, beta2: float, epsilon: float) -> None:

@@ -73,7 +73,7 @@ def test_load_mnist_normalization(tmp_path):
     data.write_idx_labels(tmp_path / "lab", np.array([7], dtype=np.uint8))
     ds = data.load_mnist((tmp_path / "img", tmp_path / "lab"))
     assert ds.images.shape == (1, 2, 2, 1)
-    read = np.asarray(ds.images)
+    read = ds.images[:]
     assert read.max() == 1.0
     assert ds.images[0, 0, 1, 0] == pytest.approx(128 / 255)
     assert read.tobytes() == (images.astype(np.float64)[..., None] / 255.0).tobytes()
@@ -115,7 +115,7 @@ def test_cifar_files_decode_in_order_to_exact_quotients(tmp_path):
         expected_images.append(planes.astype(np.float64) / 255.0)
         expected_labels.append(records[:, 0].astype(np.int64))
     ds = data.load_cifar10(paths)
-    read = np.asarray(ds.images)
+    read = ds.images[:]
     assert read.dtype == np.float64 and read.flags.c_contiguous
     assert read.tobytes() == np.concatenate(expected_images).tobytes()
     assert ds.labels.dtype == np.int64
@@ -143,14 +143,15 @@ def loaded_pair(tmp_path, loader):
 def test_byte_images_read_as_exact_float64_quotients(tmp_path, loader):
     ds, expected = loaded_pair(tmp_path, loader)
     assert ds.images.shape == expected.shape and len(ds.images) == len(expected)
-    assert ds.images.dtype == np.float64
     for key in (3, -1, slice(1, 5), slice(None, None, 2), np.array([6, 0, 0, 2]),
                 (2, slice(None), 1), (0, 1, 2, 0)):
         read = ds.images[key]
         assert read.dtype == np.float64
         assert np.asarray(read).tobytes() == np.asarray(expected[key]).tobytes()
-    read = np.asarray(ds.images)
-    assert read.dtype == np.float64 and read.tobytes() == expected.tobytes()
+    assert type(ds.images[0, 1, 2, 0]) is np.float64  # one pixel reads as a scalar
+    read = ds.images[:]
+    assert read.dtype == np.float64 and read.flags.c_contiguous
+    assert read.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("loader", ["mnist", "cifar"])
@@ -162,9 +163,9 @@ def test_subset_and_split_keep_one_byte_per_pixel(tmp_path, loader):
     for part in (split.train, split.val, sub):
         assert part.images.raw.dtype == np.uint8
         assert part.images.raw.nbytes == math.prod(part.images.shape)
-    assert np.asarray(sub.images).tobytes() == expected[[5, 1, 1]].tobytes()
+    assert sub.images[:].tobytes() == expected[[5, 1, 1]].tobytes()
     perm = np.random.default_rng(4).permutation(len(ds))
-    assert np.asarray(split.val.images).tobytes() == expected[perm[:2]].tobytes()
+    assert split.val.images[:].tobytes() == expected[perm[:2]].tobytes()
 
 
 @pytest.mark.parametrize("loader", ["mnist", "cifar"])
@@ -174,9 +175,7 @@ def test_loaded_images_are_read_only(tmp_path, loader):
         ds.images[0, 0, 0, 0] = 0.5
     with pytest.raises(ValueError):
         ds.images.raw[0, 0, 0, 0] = 1
-    with pytest.raises(ValueError):
-        np.asarray(ds.images, copy=False)
-    assert np.asarray(ds.images).tobytes() == expected.tobytes()
+    assert ds.images[:].tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("loader", ["mnist", "cifar"])
@@ -268,7 +267,7 @@ def test_fuzz_cifar_loader_raises_only_value_errors(labels, tail, cut):
 
 def make_dataset(n, seed=0):
     rng = np.random.default_rng(seed)
-    return data.Dataset(rng.uniform(size=(n, 2, 2, 1)),
+    return data.Dataset(data.ByteImages(rng.integers(0, 256, size=(n, 2, 2, 1), dtype=np.uint8)),
                         rng.integers(0, 10, size=n).astype(np.int64))
 
 
@@ -276,8 +275,8 @@ def test_split_sizes_and_disjoint():
     ds = make_dataset(100)
     split = data.split_train_val(ds, 0.1, seed=0)
     assert len(split.train) == 90 and len(split.val) == 10
-    train_ids = {tuple(img.ravel()) for img in split.train.images}
-    val_ids = {tuple(img.ravel()) for img in split.val.images}
+    train_ids = {tuple(img.ravel()) for img in split.train.images[:]}
+    val_ids = {tuple(img.ravel()) for img in split.val.images[:]}
     assert not train_ids & val_ids
 
 
@@ -285,9 +284,9 @@ def test_split_deterministic_and_seed_sensitive():
     ds = make_dataset(1000)
     a = data.split_train_val(ds, 0.1, seed=5)
     b = data.split_train_val(ds, 0.1, seed=5)
-    assert (a.train.images == b.train.images).all()
+    assert (a.train.images[:] == b.train.images[:]).all()
     c = data.split_train_val(ds, 0.1, seed=6)
-    assert not (a.train.images == c.train.images).all()
+    assert not (a.train.images[:] == c.train.images[:]).all()
 
 
 def test_split_fraction_validation():
@@ -331,5 +330,6 @@ def test_dataset_count_mismatch():
 def test_synthetic_dataset_properties():
     ds = data.synthetic_two_class(64, seed=0)
     assert ds.images.shape == (64, 8, 8, 1)
-    assert (ds.images >= 0).all() and (ds.images <= 1).all()
+    read = ds.images[:]
+    assert (read >= 0).all() and (read <= 1).all()
     assert set(np.unique(ds.labels)) <= {0, 1}

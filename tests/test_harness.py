@@ -134,13 +134,29 @@ def test_gradcheck_suite_passes_and_corruption_detected(monkeypatch):
 
 
 def test_divergence_error_names_epoch(monkeypatch):
-    bad = data.synthetic_two_class(64, seed=0)
-    bad.images[0, 0, 0, 0] = np.nan
-    monkeypatch.setattr(harness, "load_dataset_pair", lambda cfg: (bad, bad))
+    """The first training batch's loss is NaN."""
+    calls = itertools.count()
+    loss_of = nn.softmax_cross_entropy
+
+    def patched(logits, labels):
+        loss, grad = loss_of(logits, labels)
+        return (float("nan") if next(calls) == 0 else loss), grad
+
+    monkeypatch.setattr(nn, "softmax_cross_entropy", patched)
     with pytest.raises(harness.DivergenceError) as exc_info:
         harness.train(synth_config(epochs=1, batch_size=64))
     assert exc_info.value.epoch == 0
     assert "epoch 0" in str(exc_info.value)
+
+
+def test_synthetic_splits_are_byte_images():
+    """The synthetic set is bytes, like a loaded file: each read is bitwise
+    raw / 255 in float64."""
+    for split in harness.load_dataset_pair(harness.RunConfig(dataset="synthetic")):
+        assert isinstance(split.images, data.ByteImages)
+        read = split.images[:]
+        assert read.dtype == np.float64
+        assert read.tobytes() == (split.images.raw.astype(np.float64) / 255.0).tobytes()
 
 
 def test_train_frees_the_loaded_train_set_before_the_first_step(monkeypatch):

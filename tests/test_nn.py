@@ -578,9 +578,9 @@ def test_uncropped_conv_reads_its_input_itself(monkeypatch):
 def _micro_batch_bytes_per_image(spec, shape):
     """The most one image needs at any stage, of its conv output and of its
     im2col matrix with the ones column, both over its pool's footprint."""
-    return max(math.prod(stage.pool.footprint) * max(filters, 9 * c_in + 1) * 8
-               for stage, filters, c_in in zip(nn.plan(spec, shape), spec.conv_filters,
-                                               (shape[3], *spec.conv_filters)))
+    return max((math.prod(stage.pool.footprint) * max(filters, 9 * c_in + 1) * 8
+                for stage, filters, c_in in zip(nn.plan(spec, shape), spec.conv_filters,
+                                                (shape[3], *spec.conv_filters))), default=0)
 
 
 # Both variants and placements, and the CIFAR targets whose overlapping pools
@@ -724,10 +724,11 @@ def test_every_conv_call_fits_the_micro_batch_budget(monkeypatch, spec, shape, t
 
 
 @st.composite
-def model_case(draw):
+def model_case(draw, max_side=32):
     """A spec of 0-3 conv stages, either variant and placement, and per-stage
-    targets of None or up to the input size, with an input shape of 8-32 px."""
-    h, w = draw(st.integers(8, 32)), draw(st.integers(8, 32))
+    targets of None or up to the input size, with an input shape of 8 to
+    `max_side` px."""
+    h, w = draw(st.integers(8, max_side)), draw(st.integers(8, max_side))
     stages = draw(st.integers(0, 3))
     target = st.none() | st.tuples(st.integers(1, h), st.integers(1, w))
     placement = st.sampled_from([None, "after_conv", "pool_only"])
@@ -751,6 +752,94 @@ def test_property_init_sizes_match_forward(case):
     assert logits.shape == (2, spec.dense_units[-1])
     assert params["dense1_w"].shape[0] == math.prod(cache.flat_input_shape[1:])
     assert [s.pool for s in nn.plan(spec, shape)] == [pc.params for pc in cache.pool_caches]
+
+
+def _oracle_network(spec, params, batch, grad_logits):
+    """Logits and parameter gradients of `spec`'s network composed from the
+    oracles: each conv over its whole input, with no crop; then
+    nirmal_oracle, or max_pool_oracle after a ReLU under after_conv; a ReLU
+    between dense layers. The gradients back-propagate `grad_logits`."""
+    conv_inputs, pools = [], []  # per stage: its input; its conv output, window and fusion
+    x = batch
+    for idx in range(1, len(spec.conv_filters) + 1):
+        conv_inputs.append(x)
+        conv = oracles.conv2d_oracle(x, params[f"conv{idx}_w"], params[f"conv{idx}_b"])
+        _, h, w, _ = conv.shape
+        if spec.pooling_variant == "nirmal":
+            target = spec.pool_targets[idx - 1] or (max(1, h // 2), max(1, w // 2))
+            window, fused = oracles.pool_params_oracle(h, w, *target), True
+            x = oracles.nirmal_oracle(conv, *target)
+        else:
+            window, fused = (2, 2, 2, 2), spec.activation_placement == "after_conv"
+            x = oracles.max_pool_oracle(np.maximum(conv, 0.0) if fused else conv, *window)
+        pools.append((conv, window, fused))
+    pooled_shape, x = x.shape, x.reshape(len(x), -1)
+    dense_inputs, last = [], len(spec.dense_units)
+    for idx in range(1, last + 1):
+        dense_inputs.append(x)
+        x = x @ params[f"dense{idx}_w"] + params[f"dense{idx}_b"]
+        if idx < last:
+            x = np.maximum(x, 0.0)
+    logits, grads, g = x, {}, grad_logits
+    for idx in range(last, 0, -1):
+        x = dense_inputs[idx - 1]
+        grads[f"dense{idx}_w"], grads[f"dense{idx}_b"] = x.T @ g, g.sum(axis=0)
+        g = g @ params[f"dense{idx}_w"].T
+        if idx > 1:
+            g = g * (x > 0.0)
+    g = g.reshape(pooled_shape)
+    for idx in range(len(spec.conv_filters), 0, -1):
+        conv, window, fused = pools[idx - 1]
+        g = oracles.pool_backward_oracle(conv, g, *window, fused)
+        g, grads[f"conv{idx}_w"], grads[f"conv{idx}_b"] = oracles.conv2d_backward_oracle(
+            conv_inputs[idx - 1], params[f"conv{idx}_w"], g)
+    return logits, grads
+
+
+@settings(deadline=None, max_examples=60)
+@given(model_case(max_side=16), st.integers(0, 2**16))
+def test_property_network_matches_the_oracle_network(case, seed):
+    """Every network ModelSpec accepts, up to 16 px, on a batch of 3: logits
+    and gradients to 1e-12 of the oracle network's, also when the batch runs
+    as micro-batches of 2 and 1; float32 logits to 1e-4 of the largest
+    logit. Split batches are not bitwise: with 2-filter convs, BLAS rounds a
+    GEMM of fewer rows differently."""
+    spec, shape = case
+    shape = (3, *shape[1:])
+    try:
+        params = nn.init_params(spec, shape, seed=0)
+    except ValueError:
+        return  # a stage's map is too small for the next conv or pool
+    rng = np.random.default_rng(seed)
+    params = {k: v + 0.1 * rng.standard_normal(v.shape) for k, v in params.items()}
+    batch = rng.normal(size=shape)
+    labels = rng.integers(0, spec.dense_units[-1], shape[0])
+
+    def step():
+        logits, cache = nn.model_forward(spec, params, batch)
+        _, grad_logits = nn.softmax_cross_entropy(logits, labels)
+        return logits, cache, grad_logits, nn.model_backward(spec, params, cache, grad_logits)
+
+    logits, _, grad_logits, grads = step()
+    want_logits, want_grads = _oracle_network(spec, params, batch, grad_logits)
+    _assert_close(logits, want_logits, 1e-12)
+    assert set(grads) == set(want_grads)
+    for key, want in want_grads.items():
+        _assert_close(grads[key], want, 1e-12)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nn, "MICRO_BATCH_BYTES", 2 * _micro_batch_bytes_per_image(spec, shape))
+        split_logits, split_cache, _, split_grads = step()
+    if spec.conv_filters:
+        assert [s.stop - s.start for s in split_cache.micro_batches] == [2, 1]
+    _assert_close(split_logits, logits, 1e-12)
+    for key, want in grads.items():
+        _assert_close(split_grads[key], want, 1e-12)
+
+    params32 = {k: v.astype(np.float32) for k, v in params.items()}
+    logits32, _ = nn.model_forward(spec, params32, batch.astype(np.float32))
+    assert logits32.dtype == np.float32
+    _assert_close(logits32, want_logits, 1e-4)
 
 
 def test_init_params_runs_no_conv_or_pool(monkeypatch):
