@@ -52,13 +52,6 @@ VARIANTS = ("max2x2", "nirmal")
 PLACEMENTS = ("after_conv", "pool_only")
 
 
-def _windows(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """(B, OH, OW, kh, kw, Cin) view of every kh x kw window; one image's
-    windows reshape to its rows of the im2col matrix (Chellapilla, Puri &
-    Simard, 2006)."""
-    return sliding_window_view(x, (kh, kw), axis=(1, 2)).transpose(0, 1, 2, 4, 5, 3)
-
-
 def _image_slices(count: int, per_image: int, budget: int) -> list[slice]:
     """Slices of `count` whole images, as many per slice as fit in `budget`
     bytes at `per_image` bytes each (at least one); the last may be ragged."""
@@ -66,15 +59,16 @@ def _image_slices(count: int, per_image: int, budget: int) -> list[slice]:
     return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
-def _im2col(windows: np.ndarray) -> np.ndarray:
-    """The im2col matrix of `windows`, one row per window, with a last column
-    of ones, so one GEMM with [W; bias] adds the bias, and cols^T @ grad_out
-    yields grad_bias as its last row."""
-    k = math.prod(windows.shape[3:])
-    cols = np.empty((math.prod(windows.shape[:3]), k + 1), windows.dtype)
+def _im2col(x: np.ndarray, kh: int, kw: int, oh: int, ow: int) -> np.ndarray:
+    """The im2col matrix (Chellapilla, Puri & Simard, 2006) of the top-left
+    oh x ow of x's kh x kw windows, one row each, plus a ones column: one GEMM
+    with [W; bias] adds the bias, and cols^T @ grad_out ends in grad_bias."""
+    windows = sliding_window_view(x, (kh, kw), axis=(1, 2))[:, :oh, :ow].transpose(0, 1, 2, 4, 5, 3)
+    k = kh * kw * x.shape[3]
+    cols = np.empty((len(x) * oh * ow, k + 1), x.dtype)
     cols[:, k] = 1.0
     # Splitting contiguous axes only, so this reshape is a view into cols.
-    cols.reshape(*windows.shape[:3], k + 1)[..., :k].reshape(windows.shape)[...] = windows
+    cols.reshape(len(x), oh, ow, k + 1)[..., :k].reshape(windows.shape)[...] = windows
     return cols
 
 
@@ -89,9 +83,9 @@ def conv2d_forward(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.n
         raise ValueError(f"input channels {x.shape[3]} != kernel in_ch {c_in}")
     if x.shape[1] < kh or x.shape[2] < kw:
         raise ValueError(f"spatial dims {x.shape[1:3]} smaller than kernel ({kh},{kw})")
-    windows = _windows(x, kh, kw)
+    oh, ow = x.shape[1] - kh + 1, x.shape[2] - kw + 1
     w = np.vstack([kernels.reshape(kh * kw * c_in, c_out), bias])
-    return (_im2col(windows) @ w).reshape(*windows.shape[:3], c_out)
+    return (_im2col(x, kh, kw, oh, ow) @ w).reshape(len(x), oh, ow, c_out)
 
 
 def conv2d_backward(x: np.ndarray, kernels: np.ndarray, grad_out: np.ndarray,
@@ -115,7 +109,7 @@ def conv2d_backward(x: np.ndarray, kernels: np.ndarray, grad_out: np.ndarray,
 
     k = kh * kw * c_in
     g = grad_out.reshape(-1, c_out)
-    grad_wb = _im2col(_windows(x, kh, kw)[:, :oh, :ow]).T @ g
+    grad_wb = _im2col(x, kh, kw, oh, ow).T @ g
     grad_x = None
     if need_grad_x:
         grad_x = np.zeros(x.shape, grad_out.dtype)
@@ -269,20 +263,14 @@ class ForwardCache:
     micro_batches: list[slice] = field(default_factory=list)
 
 
-def _pool_cache_images(pc: pooling.PoolCache, images: slice) -> pooling.PoolCache:
-    """The part of a whole-batch pool cache that covers `images`."""
-    return pooling.PoolCache(pc.win[images], pc.params,
-                             (images.stop - images.start, *pc.input_shape[1:]),
-                             None if pc.relu_out is None else pc.relu_out[images])
-
-
 def model_forward(spec: ModelSpec, params: dict[str, np.ndarray],
                   batch: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     """Compose the network; returns logits and the caches backward needs.
 
     Each micro-batch runs through every conv stage before the next starts;
-    its pooled maps and winning offsets are written into whole-batch arrays,
-    so the caches are those of the whole batch run at once.
+    its pooled maps and winning offsets are written into whole-batch arrays.
+    At the paper's widths they are bitwise those of one whole-batch pass; a
+    narrow conv's GEMM over fewer rows may round differently in the last bit.
     """
     stages = plan(spec, batch.shape)
     b = batch.shape[0]
@@ -306,7 +294,7 @@ def model_forward(spec: ModelSpec, params: dict[str, np.ndarray],
                 maps.append(np.empty((b, *x.shape[1:]), x.dtype))
                 cache.pool_caches.append(pooling.PoolCache(
                     np.empty((b, *pc.win.shape[1:]), pc.win.dtype), pc.params,
-                    (b, *pc.input_shape[1:]), None if pc.relu_out is None else maps[-1]))
+                    pc.input_hw, None if pc.relu_out is None else maps[-1]))
             maps[idx][images] = x
             cache.pool_caches[idx - 1].win[images] = pc.win
     cache.conv_inputs = maps[:-1]
@@ -343,7 +331,7 @@ def model_backward(spec: ModelSpec, params: dict[str, np.ndarray], cache: Forwar
     for images in cache.micro_batches:
         g = pooled_grad[images]
         for idx in range(len(spec.conv_filters), 0, -1):
-            g = pooling.nirmal_backward(g, _pool_cache_images(cache.pool_caches[idx - 1], images))
+            g = pooling.nirmal_backward(g, cache.pool_caches[idx - 1][images])
             # g covers the pool's input, the part of the conv output that was
             # computed; conv2d_backward gives the rest of x zero gradient.
             # Nothing reads the gradient w.r.t. the network input.

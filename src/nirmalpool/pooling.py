@@ -53,23 +53,30 @@ class PoolCache:
     """Backward-pass bookkeeping for one pooling application: one byte per
     output.
 
-    win holds, per output element, the winning window offset dy * P_w + dx,
-    as uint8, or uint16 past 256 offsets. relu_out is the array a fused pool
-    returned, or None for an unfused pool; it is not copied, so the caller
-    must not mutate it before backward. argmax and relu_mask are derived
-    from these on each read.
+    win holds, per output element (batch, out_h, out_w, channels), the
+    winning window offset dy * P_w + dx, as uint8, or uint16 past 256
+    offsets. input_hw is the pooled map's (height, width). relu_out is the
+    array a fused pool returned, or None for an unfused pool; it is not
+    copied, so the caller must not mutate it before backward. argmax and
+    relu_mask are derived from these on each read. cache[images] is the
+    cache of those images: it slices win and relu_out.
     """
 
     win: np.ndarray
     params: PoolParams
-    input_shape: tuple[int, int, int, int]  # (batch, height, width, channels)
+    input_hw: tuple[int, int]
     relu_out: np.ndarray | None = None
+
+    def __getitem__(self, images: slice) -> "PoolCache":
+        return replace(self, win=self.win[images],
+                       relu_out=None if self.relu_out is None else self.relu_out[images])
 
     @property
     def argmax(self) -> np.ndarray:
         """Per output element, the flat row-major int64 input coordinate
         that supplied the maximum."""
-        p, (b, h, w, c), win = self.params, self.input_shape, self.win
+        p, (h, w), win = self.params, self.input_hw, self.win
+        b, c = win.shape[0], win.shape[3]
         # Offset k = dy*P_w + dx lies dy*W + dx = k + dy*(W - P_w) pixels
         # past the window's top-left pixel. Built in place on one int64 array.
         argmax = (win // p.window_w).astype(np.int64)
@@ -125,12 +132,10 @@ def max_pool_forward(x: np.ndarray, params: PoolParams) -> tuple[np.ndarray, Poo
     window. Ties go to the first offset in row-major (dy, dx) order; a
     window holding NaN pools to NaN and records its first offset.
     """
-    b, h, w, c = x.shape
+    _, h, w, _ = x.shape
     p = params
-    if p.window_h > h or p.window_w > w:
-        raise ValueError(f"window ({p.window_h},{p.window_w}) does not fit input ({h},{w})")
     if p.footprint[0] > h or p.footprint[1] > w:
-        raise ValueError("pool params incompatible with input dims")
+        raise ValueError(f"pool footprint {p.footprint} does not fit input ({h},{w})")
 
     rows, cols = p.out_h * p.stride_h, p.out_w * p.stride_w
     offsets = [(dy, dx) for dy in range(p.window_h) for dx in range(p.window_w)]
@@ -151,7 +156,7 @@ def max_pool_forward(x: np.ndarray, params: PoolParams) -> tuple[np.ndarray, Poo
         win += 1
         win *= differs
     win[np.isnan(out)] = 0
-    return out, PoolCache(win=win, params=p, input_shape=(b, h, w, c))
+    return out, PoolCache(win=win, params=p, input_hw=(h, w))
 
 
 def _fuse_relu(pooled: np.ndarray, cache: PoolCache) -> tuple[np.ndarray, PoolCache]:
@@ -178,10 +183,11 @@ def nirmal_backward(grad_out: np.ndarray, cache: PoolCache) -> np.ndarray:
     argmax, relu_mask = cache.argmax, cache.relu_mask
     if relu_mask is not None:
         grad_out = grad_out * relu_mask
-    grad_in = np.zeros(math.prod(cache.input_shape), dtype=grad_out.dtype)
+    shape = (len(grad_out), *cache.input_hw, grad_out.shape[3])
+    grad_in = np.zeros(math.prod(shape), dtype=grad_out.dtype)
     # Overlapping windows (P > S) accumulate additively.
     np.add.at(grad_in, argmax.ravel(), grad_out.ravel())
-    return grad_in.reshape(cache.input_shape)
+    return grad_in.reshape(shape)
 
 
 def max_pool2x2_params(h: int, w: int) -> PoolParams:

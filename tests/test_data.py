@@ -154,6 +154,13 @@ def test_byte_images_read_as_exact_float64_quotients(tmp_path, loader):
     assert read.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("raw", [np.zeros((2, 3, 3, 1)), np.zeros((2, 3, 3), np.uint8)],
+                         ids=["float", "3d"])
+def test_byte_images_take_only_4d_uint8(raw):
+    with pytest.raises(ValueError, match=r"expected \(N, H, W, C\) uint8 bytes"):
+        data.ByteImages(raw)
+
+
 @pytest.mark.parametrize("loader", ["mnist", "cifar"])
 def test_subset_and_split_keep_one_byte_per_pixel(tmp_path, loader):
     ds, expected = loaded_pair(tmp_path, loader)

@@ -67,6 +67,19 @@ def test_write_report_and_csv(tmp_path):
     assert rows[1][0] == "synthetic" and rows[1][1] == "nirmal"
 
 
+def test_write_report_leaves_nothing_when_the_rename_fails(tmp_path, monkeypatch):
+    report = harness.train(synth_config(epochs=1))
+
+    def replace(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(harness.os, "replace", replace)
+    with pytest.raises(OSError, match="rename failed"):
+        harness.write_report(report, tmp_path)
+    # No temp file, no report and no results.csv row.
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_write_report_keeps_differing_runs_apart(tmp_path):
     report = harness.train(synth_config(epochs=1))
     other = dataclasses.replace(report, fingerprint=synth_config(epochs=1, lr=0.004).fingerprint())
@@ -131,6 +144,18 @@ def test_gradcheck_suite_passes_and_corruption_detected(monkeypatch):
     monkeypatch.setattr(pooling, "nirmal_backward", lambda g, cache: 2.0 * backward(g, cache))
     corrupted = gradcheck.run_all(seed=0)
     assert any(not r.passed for r in corrupted)
+
+
+def test_pool_check_redraws_an_instance_with_a_tie():
+    draws = [np.ones((1, 2, 2, 1)), np.arange(1.0, 5.0).reshape(1, 2, 2, 1)]
+    drawn = []
+
+    def draw():
+        drawn.append(draws[len(drawn)])
+        return drawn[-1], pooling.max_pool2x2_forward
+
+    result = gradcheck._check_pool("pool", np.random.default_rng(0), draw)
+    assert len(drawn) == 2 and result.passed
 
 
 def test_divergence_error_names_epoch(monkeypatch):
@@ -237,6 +262,13 @@ def test_cli_gradcheck(capsys):
     assert cli.main(["gradcheck", "--seed", "0"]) == cli.EXIT_OK
     out = capsys.readouterr().out
     assert out.count("PASS") == 7
+
+
+def test_cli_gradcheck_failure_exit_code(monkeypatch, capsys):
+    backward = pooling.nirmal_backward
+    monkeypatch.setattr(pooling, "nirmal_backward", lambda g, cache: 2.0 * backward(g, cache))
+    assert cli.main(["gradcheck"]) == cli.EXIT_CHECK_FAILED
+    assert "FAIL" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("nan_call", [0, 1])
@@ -591,6 +623,12 @@ def test_cli_config_file_and_flag_override(tmp_path):
 
     config = build("--config", str(cfg), "--epochs", "2")  # the flag overrides the file
     assert (config.dataset, config.epochs, config.seed) == ("synthetic", 2, 9)
+
+
+def test_config_file_skips_blank_and_comment_lines(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# a run\n\n   \nepochs = 2\n  # indented comment\n\n")
+    assert cli.parse_config_file(cfg) == {"epochs": 2}
 
 
 @pytest.mark.parametrize("text, expected", [

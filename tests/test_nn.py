@@ -241,6 +241,12 @@ def test_dense_shape_error():
         nn.dense_forward(np.zeros((2, 3)), np.zeros((4, 5)), np.zeros(5))
 
 
+@pytest.mark.parametrize("grad_shape", [(2, 5), (3, 4)], ids=["units", "batch"])
+def test_dense_backward_rejects_grad_out_of_another_shape(grad_shape):
+    with pytest.raises(ValueError, match="grad_out shape"):
+        nn.dense_backward(np.zeros((2, 3)), np.zeros((3, 4)), np.zeros(grad_shape))
+
+
 def test_relu_examples():
     x = np.array([-1.5, 0.0, 2.0, -0.0]).reshape(1, 2, 2, 1)
     out = nn._relu(x)
@@ -327,7 +333,7 @@ def test_model_end_to_end_finite_differences(case):
     if case in TRIMMING:
         spec, shape = TRIMMING[case]
         _, cache = nn.model_forward(spec, nn.init_params(spec, shape, seed=0), np.zeros(shape))
-        assert cache.pool_caches[1].input_shape[1] < cache.conv_inputs[1].shape[1] - 2
+        assert cache.pool_caches[1].input_hw[0] < cache.conv_inputs[1].shape[1] - 2
     else:
         spec, shape = gradcheck.toy_model_spec(case), (2, 8, 8, 1)
     result = gradcheck.check_model_end_to_end(np.random.default_rng(11), spec, shape)
@@ -448,7 +454,7 @@ def test_mnist_architecture_shape_trace(variant):
     params = nn.init_params(spec, (1, 28, 28, 1), seed=0)
     logits, cache = nn.model_forward(spec, params, np.zeros((1, 28, 28, 1)))
     conv_in = [a.shape[1:] for a in cache.conv_inputs]
-    pool_in = [tuple(pc.input_shape)[1:] for pc in cache.pool_caches]
+    pool_in = [(*pc.input_hw, pc.win.shape[3]) for pc in cache.pool_caches]
     trace = [conv_in[0], pool_in[0], conv_in[1], pool_in[1], cache.flat_input_shape[1:],
              *(a.shape[1:] for a in cache.dense_inputs), logits.shape[1:]]
     # The 2x2 pool reads 10 of conv2's 11 rows and columns, so only those
@@ -549,7 +555,7 @@ def test_cropped_convs_are_the_uncropped_network(monkeypatch, spec, shape):
 
     # The gradient w.r.t. conv2's input is zero outside the part conv2 read.
     grad_x, ref_grad_x = pool_grads[1], ref_pool_grads[1]
-    rows, cols = (n + 2 for n in cache.pool_caches[1].input_shape[1:3])
+    rows, cols = (n + 2 for n in cache.pool_caches[1].input_hw)
     assert rows < grad_x.shape[1] and cols < grad_x.shape[2]
     assert not grad_x[:, rows:].any() and not grad_x[:, :, cols:].any()
     _assert_close(grad_x, ref_grad_x, 1e-12)
@@ -641,7 +647,7 @@ def test_micro_batches_are_the_whole_batch_network(monkeypatch, spec, shape):
     for got, want in zip(cache.conv_inputs, ref_cache.conv_inputs, strict=True):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     for got, want in zip(cache.pool_caches, ref_cache.pool_caches, strict=True):
-        assert got.params == want.params and got.input_shape == want.input_shape
+        assert got.params == want.params and got.input_hw == want.input_hw
         assert got.win.dtype == want.win.dtype and got.win.tobytes() == want.win.tobytes()
         assert (got.relu_out is None) == (want.relu_out is None)
         assert got.relu_out is None or got.relu_out.tobytes() == want.relu_out.tobytes()

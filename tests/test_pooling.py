@@ -75,6 +75,37 @@ def test_max_pool_forward_shape_mismatch():
         pooling.max_pool_forward(PLANE_4X4, params)
 
 
+def test_max_pool_forward_rejects_a_footprint_past_the_map():
+    # One 2x2 window fits a 5x5 map, but three of them at stride 2 span 6.
+    params = pooling.compute_pool_params(6, 6, 3, 3)
+    assert (params.window_h, params.stride_h, params.footprint) == (2, 2, (6, 6))
+    with pytest.raises(ValueError, match=r"footprint \(6, 6\) does not fit input \(5,5\)"):
+        pooling.max_pool_forward(np.zeros((1, 5, 5, 1)), params)
+
+
+@pytest.mark.parametrize("fused", [False, True])
+def test_cache_of_a_slice_of_images(fused):
+    """cache[images] holds those images' rows of the cache, and backward
+    through it gives their rows of the whole batch's input gradient."""
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(5, 7, 7, 2))
+    p = pooling.compute_pool_params(7, 7, 3, 3)  # overlapping 3x3 windows, stride 2
+    _, cache = pooling.nirmal_forward(x, 3, 3) if fused else pooling.max_pool_forward(x, p)
+    assert cache.params == p and cache.input_hw == (7, 7)
+    g = rng.normal(size=cache.win.shape)
+    whole = pooling.nirmal_backward(g, cache)
+    for s in (slice(0, 2), slice(2, 5), slice(4, 5)):
+        part = cache[s]
+        assert part.win.dtype == cache.win.dtype and part.win.shape == cache.win[s].shape
+        assert part.win.tobytes() == cache.win[s].tobytes()
+        if fused:
+            assert part.relu_out.tobytes() == cache.relu_out[s].tobytes()
+        else:
+            assert part.relu_out is None
+        assert part.params == cache.params and part.input_hw == cache.input_hw
+        assert pooling.nirmal_backward(g[s], part).tobytes() == whole[s].tobytes()
+
+
 def test_nirmal_forward_examples():
     neg = np.full((1, 2, 2, 1), -5.0)
     out, _ = pooling.nirmal_forward(neg, 1, 1)
