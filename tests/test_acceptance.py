@@ -73,7 +73,7 @@ def test_fusion_identity():
 def test_gradient_suite():
     start = time.time()
     rng = np.random.default_rng(0)
-    # pooling backward: >= 100 random instances each, ties/near-zero excluded
+    # pooling backward: >= 100 random instances each, checked as drawn
     for _ in range(100):
         result = gradcheck.check_nirmal_backward(rng)
         assert result.max_rel_error < 1e-5, result

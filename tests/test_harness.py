@@ -144,18 +144,34 @@ def test_gradcheck_suite_passes_and_corruption_detected(monkeypatch):
     monkeypatch.setattr(pooling, "nirmal_backward", lambda g, cache: 2.0 * backward(g, cache))
     corrupted = gradcheck.run_all(seed=0)
     assert any(not r.passed for r in corrupted)
+    # The floors are the catches, on seeds 0-99, of central differences behind a
+    # pool tie screen: the closest-difference rule is no less strict.
+    corruptions = [
+        (lambda g, cache: 2.0 * backward(g, cache), 100),
+        (lambda g, cache: backward(g, dataclasses.replace(cache, relu_out=None)), 85),
+        (lambda g, cache: np.roll(backward(g, cache), 1, axis=2), 89),
+    ]
+    for corrupt, floor in corruptions:
+        monkeypatch.setattr(pooling, "nirmal_backward", corrupt)
+        caught = sum(not gradcheck.check_nirmal_backward(np.random.default_rng(seed)).passed
+                     for seed in range(100))
+        assert caught >= floor
 
 
-def test_pool_check_redraws_an_instance_with_a_tie():
-    draws = [np.ones((1, 2, 2, 1)), np.arange(1.0, 5.0).reshape(1, 2, 2, 1)]
-    drawn = []
+def test_gradcheck_judges_each_partial_by_the_closest_difference():
+    # f(x) = sum |x - c|: the first three x lie within EPS of their kink, the last 1 away.
+    x = np.array([0.3, -1.2, 2.0, 0.7])
+    c = x + np.array([0.4, -0.7, 0.99, 1e5]) * gradcheck.EPS
 
-    def draw():
-        drawn.append(draws[len(drawn)])
-        return drawn[-1], pooling.max_pool2x2_forward
+    def check(slope):
+        return gradcheck._check("abs", lambda t: float(np.abs(t - c).sum()), (x,), (slope,))
 
-    result = gradcheck._check_pool("pool", np.random.default_rng(0), draw)
-    assert len(drawn) == 2 and result.passed
+    slope = np.sign(x - c)
+    assert check(slope).passed
+    # The slope from the far side of a kink within EPS fails.
+    assert not check(slope * [-1.0, 1.0, 1.0, 1.0]).passed
+    # A slope off by 2 TOL fails at a point 1 from its kink.
+    assert not check(slope + [0.0, 0.0, 0.0, 2.0 * gradcheck.TOL]).passed
 
 
 def test_divergence_error_names_epoch(monkeypatch):
@@ -262,6 +278,13 @@ def test_cli_gradcheck(capsys):
     assert cli.main(["gradcheck", "--seed", "0"]) == cli.EXIT_OK
     out = capsys.readouterr().out
     assert out.count("PASS") == 7
+
+
+@pytest.mark.parametrize("seed", ["238", "528"])
+def test_cli_gradcheck_passes_across_a_model_kink(capsys, seed):
+    # A central difference straddles a kink of the max2x2 (238) or nirmal (528) toy model.
+    assert cli.main(["gradcheck", "--seed", seed]) == cli.EXIT_OK
+    assert capsys.readouterr().out.count("PASS") == 7
 
 
 def test_cli_gradcheck_failure_exit_code(monkeypatch, capsys):

@@ -340,80 +340,6 @@ def test_model_end_to_end_finite_differences(case):
     assert result.max_rel_error < 1e-5
 
 
-def _screen_per_window(x, params, margin=1e-4):
-    """The gradcheck tie screen, one window and channel at a time: reject when
-    the two largest values lie within margin, or the max within margin of 0."""
-    for i in range(params.out_h):
-        for j in range(params.out_w):
-            rows = slice(i * params.stride_h, i * params.stride_h + params.window_h)
-            cols = slice(j * params.stride_w, j * params.stride_w + params.window_w)
-            for n in range(x.shape[0]):
-                for ch in range(x.shape[3]):
-                    top = sorted(x[n, rows, cols, ch].ravel())
-                    if abs(top[-1]) < margin or (len(top) > 1 and top[-1] - top[-2] < margin):
-                        return False
-    return True
-
-
-def test_pool_screen_matches_per_window_rule_on_random_instances():
-    rng = np.random.default_rng(21)
-    outcomes = set()
-    for trial in range(300):
-        b, h, w, c = (int(v) for v in rng.integers(1, 7, size=4))
-        th, tw = (int(v) for v in rng.integers(1, 7, size=2))
-        params = pooling.compute_pool_params(h, w, th, tw)
-        # Small integers make ties and zero maxima common; uniform draws make them rare.
-        x = (rng.integers(-4, 5, size=(b, h, w, c)).astype(np.float64) if trial % 2
-             else rng.uniform(-10.0, 10.0, size=(b, h, w, c)))
-        expected = _screen_per_window(x, params)
-        assert gradcheck._pool_instance_ok(x, params) is expected
-        outcomes.add(expected)
-    assert outcomes == {True, False}
-
-
-@pytest.mark.parametrize("shape, params", [
-    ((2, 6, 6, 3), pooling.PoolParams(2, 2, 2, 2, 3, 3)),
-    ((2, 5, 4, 2), pooling.PoolParams(1, 1, 1, 1, 5, 4)),
-    # Overlapping windows; row 7 and column 7 lie in no window.
-    ((2, 8, 8, 2), pooling.PoolParams(3, 3, 2, 2, 3, 3)),
-], ids=["2x2", "1x1", "3x3_stride2"])
-@pytest.mark.parametrize("plant, ok", [
-    (None, True),
-    ("tie", False),
-    ("near_tie", False),
-    ("clear_gap", True),
-    ("max_near_zero", False),
-    ("max_near_zero_negative", False),
-    ("uncovered_ties", True),
-])
-def test_pool_screen_planted_cases(shape, params, plant, ok):
-    # Distinct values 0.5 apart, all >= 1: no window is screened out.
-    x = np.random.default_rng(5).permutation(math.prod(shape)).reshape(shape) * 0.5 + 1.0
-    # The last window of the last image and channel, as a view into x.
-    hs, ws = (params.out_h - 1) * params.stride_h, (params.out_w - 1) * params.stride_w
-    patch = x[-1, hs:hs + params.window_h, ws:ws + params.window_w, -1]
-    if plant in ("tie", "near_tie", "clear_gap"):
-        gap = {"tie": 0.0, "near_tie": 5e-5, "clear_gap": 2e-4}[plant]
-        if patch.size == 1:
-            # A 1x1 window holds no second value: equal values in two windows are no tie.
-            x[-1, hs, ws - 1, -1] = patch.max() - gap
-            ok = True
-        else:
-            second = np.unravel_index(np.argsort(patch, axis=None)[-2], patch.shape)
-            patch[second] = patch.max() - gap
-    elif plant == "max_near_zero":
-        patch -= patch.max() - 5e-5
-    elif plant == "max_near_zero_negative":
-        patch -= patch.max() + 5e-5
-    elif plant == "uncovered_ties":
-        # One value, above all others, in every pixel that no window covers.
-        top = x.max() + 1.0
-        x[:, hs + params.window_h:] = top
-        x[:, :, ws + params.window_w:] = top
-    assert _screen_per_window(x, params) is ok
-    assert gradcheck._pool_instance_ok(x, params) is ok
-
-
 @pytest.mark.parametrize("dense_units", [(64, 32, 10), (10,)])
 def test_model_any_dense_depth(dense_units):
     spec = dataclasses.replace(gradcheck.toy_model_spec("nirmal"), dense_units=dense_units)
