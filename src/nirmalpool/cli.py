@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 divergence,
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import data, gradcheck, harness, nn
@@ -115,6 +116,12 @@ def cmd_compare(args) -> int:
     for report in reports.values():
         harness.write_report(report, config.output_dir)
     print(harness.comparison_table(reports))
+    shape = (1, *harness.DATASETS[config.dataset])
+    specs = [harness.build_model_spec(replace(config, pooling_variant=v)) for v in nn.VARIANTS]
+    # Each variant's pools (window, stride, output size) and fused ReLUs, stage by stage.
+    if len({tuple((s.pool, s.relu) for s in nn.plan(spec, shape)) for spec in specs}) == 1:
+        print("both variants build the same network: the same pool windows, strides, "
+              "output sizes and fused ReLUs at every stage")
     return EXIT_OK
 
 

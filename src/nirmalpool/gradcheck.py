@@ -31,21 +31,21 @@ class CheckResult:
         return self.max_rel_error < self.tolerance
 
 
-def numeric_gradient(f: Callable[[np.ndarray], float], x: np.ndarray, near: np.ndarray,
-                     eps: float = EPS) -> np.ndarray:
+def numeric_gradient(f: Callable[[np.ndarray], float], x: np.ndarray,
+                     near: np.ndarray) -> np.ndarray:
     """Per element of x, whichever of the central, forward and backward
-    differences of scalar f at x lies closest to that element of near."""
+    differences at EPS of scalar f at x lies closest to that element of near."""
     grad = np.zeros_like(x, dtype=np.float64)
     flat, gflat, near = x.reshape(-1), grad.reshape(-1), near.reshape(-1)
     at_x = f(x)
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + eps
+        flat[i] = orig + EPS
         hi = f(x)
-        flat[i] = orig - eps
+        flat[i] = orig - EPS
         lo = f(x)
         flat[i] = orig
-        gflat[i] = min(((hi - lo) / (2.0 * eps), (hi - at_x) / eps, (at_x - lo) / eps),
+        gflat[i] = min(((hi - lo) / (2.0 * EPS), (hi - at_x) / EPS, (at_x - lo) / EPS),
                        key=lambda d: abs(d - near[i]))
     return grad
 

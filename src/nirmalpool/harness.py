@@ -305,6 +305,8 @@ class PoolCheckRow:
 def poolcheck(max_dim: int = 64) -> list[PoolCheckRow]:
     """Sweep adaptive parameter derivation over (input, target) pairs and
     flag where the achieved output size deviates from the request."""
+    if max_dim < 1:
+        raise ValueError(f"max_dim must be >= 1, got {max_dim}")
     rows = []
     for h_in in range(1, max_dim + 1):
         for target in range(1, max_dim + 1):

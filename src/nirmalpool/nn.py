@@ -1,6 +1,5 @@
-"""Layers for the benchmark architecture: valid 3x3 convolutions, dense
-layers, ReLU, flatten, and softmax cross-entropy, each with forward and
-backward passes.
+"""Layers of the benchmark network: valid 3x3 convolutions, dense layers,
+flatten and softmax cross-entropy, each with forward and backward passes.
 
 The reference network is conv(32) -> pool -> conv(64) -> pool -> flatten ->
 dense(128) -> ReLU -> dense(10). The pooling stage is either the adaptive
@@ -54,9 +53,10 @@ PLACEMENTS = ("after_conv", "pool_only")
 
 def _image_slices(count: int, per_image: int, budget: int) -> list[slice]:
     """Slices of `count` whole images, as many per slice as fit in `budget`
-    bytes at `per_image` bytes each (at least one); the last may be ragged."""
+    bytes at `per_image` bytes each (at least one); the last may be ragged.
+    A count of 0 gives one empty slice, so an empty batch runs every stage."""
     step = max(1, budget // max(1, per_image))
-    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
+    return [slice(lo, min(lo + step, count)) for lo in range(0, max(count, 1), step)]
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, oh: int, ow: int) -> np.ndarray:
@@ -121,11 +121,6 @@ def conv2d_backward(x: np.ndarray, kernels: np.ndarray, grad_out: np.ndarray,
     return grad_x, grad_wb[:k].reshape(kh, kw, c_in, c_out), grad_wb[k]
 
 
-def _relu(t: np.ndarray) -> np.ndarray:
-    """max(0, x) per element; negative zero normalizes to +0.0."""
-    return np.maximum(t, 0.0) + 0.0
-
-
 def dense_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Affine map x @ W + b for x of shape (B, in_features)."""
     if x.shape[1] != weights.shape[0]:
@@ -147,6 +142,8 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float
     Stabilized by max-subtraction. grad = (softmax - onehot) / batch.
     """
     n, k = logits.shape
+    if n == 0:
+        raise ValueError("empty batch: the mean loss over no examples is undefined")
     labels = np.asarray(labels)
     if labels.min() < 0 or labels.max() >= k:
         raise ValueError(f"labels must lie in [0, {k}), got range "
@@ -298,15 +295,14 @@ def model_forward(spec: ModelSpec, params: dict[str, np.ndarray],
             maps[idx][images] = x
             cache.pool_caches[idx - 1].win[images] = pc.win
     cache.conv_inputs = maps[:-1]
-    x = maps[-1]
-    cache.flat_input_shape = x.shape
-    x = x.reshape(x.shape[0], -1)
+    cache.flat_input_shape = maps[-1].shape
+    x = maps[-1].reshape(b, math.prod(maps[-1].shape[1:]))
     last = len(spec.dense_units)
     for idx in range(1, last + 1):
         cache.dense_inputs.append(x)
         x = dense_forward(x, params[f"dense{idx}_w"], params[f"dense{idx}_b"])
         if idx < last:
-            x = _relu(x)
+            x = pooling._relu(x)  # the pool's ReLU, in place on dense_forward's fresh output
     return x, cache
 
 

@@ -159,17 +159,20 @@ def max_pool_forward(x: np.ndarray, params: PoolParams) -> tuple[np.ndarray, Poo
     return out, PoolCache(win=win, params=p, input_hw=(h, w))
 
 
+def _relu(t: np.ndarray) -> np.ndarray:
+    """ReLU in place on a fresh array t: max(t, 0), then += 0.0 makes -0.0 +0.0."""
+    np.maximum(t, 0.0, out=t)
+    t += 0.0
+    return t
+
+
 def _fuse_relu(pooled: np.ndarray, cache: PoolCache) -> tuple[np.ndarray, PoolCache]:
-    # ReLU in place on the fresh pooled array: +0.0 turns -0.0 into +0.0.
-    np.maximum(pooled, 0.0, out=pooled)
-    pooled += 0.0
-    return pooled, replace(cache, relu_out=pooled)
+    return _relu(pooled), replace(cache, relu_out=pooled)
 
 
 def nirmal_forward(x: np.ndarray, h_out_target: int, w_out_target: int) -> tuple[np.ndarray, PoolCache]:
     """Adaptive max pool followed by fused ReLU."""
-    _, h, w, _ = x.shape
-    params = compute_pool_params(h, w, h_out_target, w_out_target)
+    params = compute_pool_params(*x.shape[1:3], h_out_target, w_out_target)
     return _fuse_relu(*max_pool_forward(x, params))
 
 

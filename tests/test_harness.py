@@ -262,9 +262,27 @@ def test_cli_compare_table(tmp_path, capsys):
     assert code == cli.EXIT_OK
     out = capsys.readouterr().out
     assert "nirmal" in out and "max2x2" in out
+    # On 8x8 images the halving target pools 6 -> 3 with 2x2 windows at stride 2.
+    assert "both variants build the same network" in out
     with open(tmp_path / "results.csv") as f:
         rows = list(csv.reader(f))
     assert len(rows) == 3
+
+
+@pytest.mark.parametrize("args", [
+    ["--dataset", "mnist_digits"],
+    ["--dataset", "synthetic", "--activation-placement", "pool_only"],
+], ids=["mnist_stage2", "synthetic_pool_only"])
+def test_cli_compare_is_silent_when_the_variants_differ(tmp_path, capsys, monkeypatch, args):
+    """nirmal pools MNIST's 11 -> 5 with 3x3 windows, max2x2 with 2x2; under
+    pool_only max2x2 fuses no ReLU. Training is stubbed: no data is read."""
+    monkeypatch.setattr(harness, "train", lambda config, verbose=False: harness.RunReport(
+        config.dataset, config.pooling_variant, config.seed, config.fingerprint(), [],
+        1.0, 0.5, 0.0))
+    assert cli.main(["compare", *args, "--output-dir", str(tmp_path)]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert "nirmal" in out and "max2x2" in out
+    assert "same network" not in out
 
 
 def test_cli_poolcheck(capsys):
@@ -272,6 +290,14 @@ def test_cli_poolcheck(capsys):
     out = capsys.readouterr().out
     assert "DEVIATES" in out
     assert "900 cases" in out
+
+
+@pytest.mark.parametrize("max_dim", ["0", "-3"])
+def test_cli_poolcheck_max_dim_below_one_exit_code(capsys, max_dim):
+    assert cli.main(["poolcheck", "--max-dim", max_dim]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"max_dim must be >= 1, got {max_dim}" in captured.err
 
 
 def test_cli_gradcheck(capsys):

@@ -249,16 +249,16 @@ def test_dense_backward_rejects_grad_out_of_another_shape(grad_shape):
 
 def test_relu_examples():
     x = np.array([-1.5, 0.0, 2.0, -0.0]).reshape(1, 2, 2, 1)
-    out = nn._relu(x)
+    out = pooling._relu(x.copy())
     assert out.ravel().tolist() == [0.0, 0.0, 2.0, 0.0]
     nonneg = np.abs(np.random.default_rng(0).normal(size=(2, 3, 3, 2)))
-    assert (nn._relu(nonneg) == nonneg).all()
+    assert (pooling._relu(nonneg.copy()) == nonneg).all()
     neg = -np.abs(np.random.default_rng(1).normal(size=(2, 3, 3, 2))) - 0.1
-    assert (nn._relu(neg) == 0.0).all()
+    assert (pooling._relu(neg.copy()) == 0.0).all()
 
 
 def test_relu_normalizes_negative_zero():
-    out = nn._relu(np.full((1, 1, 1, 1), -0.0))
+    out = pooling._relu(np.full((1, 1, 1, 1), -0.0))
     assert not np.signbit(out).any()
 
 
@@ -266,8 +266,22 @@ def test_relu_idempotent():
     rng = np.random.default_rng(2)
     for _ in range(20):
         x = rng.normal(scale=5.0, size=tuple(rng.integers(1, 9, size=4)))
-        once = nn._relu(x)
-        assert (nn._relu(once) == once).all()
+        once = pooling._relu(x.copy())
+        assert (pooling._relu(once.copy()) == once).all()
+
+
+def test_relu_in_place_is_bitwise_the_out_of_place_rule():
+    # The dense layers' activations used np.maximum(t, 0.0) + 0.0 on a new array.
+    x = np.random.default_rng(3).normal(size=(64, 128))
+    x.ravel()[:6] = [-0.0, 0.0, np.nan, -np.inf, np.inf, -1e-320]
+    out = x.copy()
+    assert pooling._relu(out) is out
+    assert out.tobytes() == (np.maximum(x, 0.0) + 0.0).tobytes()
+
+
+def test_softmax_rejects_an_empty_batch():
+    with pytest.raises(ValueError, match="empty batch"):
+        nn.softmax_cross_entropy(np.zeros((0, 10)), np.zeros(0, dtype=np.int64))
 
 
 def test_softmax_uniform_logits():
@@ -580,6 +594,34 @@ def test_micro_batches_are_the_whole_batch_network(monkeypatch, spec, shape):
     assert set(grads) == set(ref_grads)
     for key in ref_grads:
         _assert_close(grads[key], ref_grads[key], 1e-12)
+
+
+@pytest.mark.parametrize("placement", nn.PLACEMENTS)
+@pytest.mark.parametrize("variant", nn.VARIANTS)
+def test_empty_batch_forward_runs_every_stage(monkeypatch, variant, placement):
+    """An empty batch is one empty micro-batch through every conv stage."""
+    spec = nn.ModelSpec(pooling_variant=variant, activation_placement=placement)
+    params = nn.init_params(spec, (1, 28, 28, 1), seed=0)
+    inputs, forward = [], nn.conv2d_forward
+    monkeypatch.setattr(nn, "conv2d_forward",
+                        lambda x, kernels, bias: inputs.append(x.shape) or forward(x, kernels, bias))
+    logits, cache = nn.model_forward(spec, params, np.zeros((0, 28, 28, 1)))
+    assert logits.shape == (0, 10)
+    assert cache.micro_batches == [slice(0, 0)]
+    assert [shape[::3] for shape in inputs] == [(0, 1), (0, 32)]
+    assert cache.flat_input_shape == (0, 5, 5, 64)
+
+
+@pytest.mark.parametrize("placement", nn.PLACEMENTS)
+@pytest.mark.parametrize("variant", nn.VARIANTS)
+def test_empty_batch_backward_gives_zero_gradients(variant, placement):
+    spec = nn.ModelSpec(pooling_variant=variant, activation_placement=placement)
+    params = nn.init_params(spec, (1, 28, 28, 1), seed=0)
+    _, cache = nn.model_forward(spec, params, np.zeros((0, 28, 28, 1)))
+    grads = nn.model_backward(spec, params, cache, np.zeros((0, 10)))
+    assert set(grads) == set(params)
+    for key, value in params.items():
+        assert grads[key].shape == value.shape and not grads[key].any()
 
 
 def test_training_step_builds_no_full_batch_conv_output():
