@@ -83,6 +83,7 @@ def conv2d_forward(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.n
         raise ValueError(f"input channels {x.shape[3]} != kernel in_ch {c_in}")
     if x.shape[1] < kh or x.shape[2] < kw:
         raise ValueError(f"spatial dims {x.shape[1:3]} smaller than kernel ({kh},{kw})")
+    _check_bias(bias, c_out)
     oh, ow = x.shape[1] - kh + 1, x.shape[2] - kw + 1
     w = np.vstack([kernels.reshape(kh * kw * c_in, c_out), bias])
     return (_im2col(x, kh, kw, oh, ow) @ w).reshape(len(x), oh, ow, c_out)
@@ -121,10 +122,18 @@ def conv2d_backward(x: np.ndarray, kernels: np.ndarray, grad_out: np.ndarray,
     return grad_x, grad_wb[:k].reshape(kh, kw, c_in, c_out), grad_wb[k]
 
 
+def _check_bias(bias: np.ndarray, width: int) -> None:
+    """A layer's bias gives one value per output unit or channel."""
+    if bias.shape != (width,):
+        raise ValueError(f"bias shape {bias.shape} does not give one value "
+                         f"per output unit: output width {width}")
+
+
 def dense_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Affine map x @ W + b for x of shape (B, in_features)."""
     if x.shape[1] != weights.shape[0]:
         raise ValueError(f"input features {x.shape[1]} != weight rows {weights.shape[0]}")
+    _check_bias(bias, weights.shape[1])
     return x @ weights + bias
 
 
@@ -139,12 +148,16 @@ def dense_backward(x: np.ndarray, weights: np.ndarray,
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean negative log-likelihood and its gradient w.r.t. the logits.
 
-    Stabilized by max-subtraction. grad = (softmax - onehot) / batch.
+    labels: (batch,) integers in [0, classes). Stabilized by
+    max-subtraction. grad = (softmax - onehot) / batch.
     """
     n, k = logits.shape
     if n == 0:
         raise ValueError("empty batch: the mean loss over no examples is undefined")
     labels = np.asarray(labels)
+    if labels.shape != (n,) or labels.dtype.kind not in "iu":
+        raise ValueError(f"labels of shape {labels.shape} and dtype {labels.dtype} do not "
+                         f"give one integer per row of logits of shape {logits.shape}")
     if labels.min() < 0 or labels.max() >= k:
         raise ValueError(f"labels must lie in [0, {k}), got range "
                          f"[{labels.min()}, {labels.max()}]")

@@ -15,9 +15,10 @@ Windows are placed only where they fully fit (no padding); trailing rows and
 columns outside the windows' footprint, (out - 1) * S + P, are never read,
 and `nn` does not compute them. The fused variant applies ReLU to the pooled
 maxima; the fixed 2x2 pool does so on request. One backward pass serves
-every pool: it routes each output gradient to the coordinate that supplied
-the window maximum (first occurrence in row-major order on ties), gated by
-the ReLU mask when the pool is fused.
+every pool: it routes each output gradient, gated by the ReLU mask when the
+pool is fused, to its window's winner: the first offset in row-major order
+not below the window's max. A NaN max is below nothing, so a window holding
+NaN pools to NaN and its first offset wins.
 
 The forward keeps one byte per output for backward: the winning window
 offset (two bytes past 256 offsets). The flat input coordinate and the ReLU
@@ -74,7 +75,7 @@ class PoolCache:
     @property
     def argmax(self) -> np.ndarray:
         """Per output element, the flat row-major int64 input coordinate
-        that supplied the maximum."""
+        of its window's winner."""
         p, (h, w), win = self.params, self.input_hw, self.win
         b, c = win.shape[0], win.shape[3]
         # Offset k = dy*P_w + dx lies dy*W + dx = k + dy*(W - P_w) pixels
@@ -125,12 +126,13 @@ def compute_pool_params(h_in: int, w_in: int, h_out_target: int, w_out_target: i
 
 
 def max_pool_forward(x: np.ndarray, params: PoolParams) -> tuple[np.ndarray, PoolCache]:
-    """Max over each window; the cache records the winning offset per output.
+    """Max over each window; the cache records each window's winner: its
+    first offset in row-major (dy, dx) order not below the max, which for a
+    window holding NaN, whose max is NaN and below nothing, is offset 0.
 
     Loops over the P_h*P_w window offsets, not the output windows: offset
     (dy, dx) is one strided view holding that offset's value for every
-    window. Ties go to the first offset in row-major (dy, dx) order; a
-    window holding NaN pools to NaN and records its first offset.
+    window.
     """
     _, h, w, _ = x.shape
     p = params
@@ -144,18 +146,15 @@ def max_pool_forward(x: np.ndarray, params: PoolParams) -> tuple[np.ndarray, Poo
     for v in views[1:]:
         np.maximum(out, v, out=out)
 
-    # Winning offset, scanned last to first: after offset k, win is the
-    # distance from k to the first offset at or after k that holds the max
-    # (a match at k resets it, a miss adds 1), so at k = 0 it is the first
-    # winner in row-major order. A NaN window matches no offset and is
-    # reset to its first.
+    # Winner, scanned last to first: after offset k, win is the distance
+    # from k to the first offset at or after k not below the max (such an
+    # offset resets it, one below adds 1), so at k = 0 it is the winner.
     win = np.zeros(out.shape, dtype=np.min_scalar_type(len(offsets) - 1))
-    differs = np.empty(out.shape, dtype=bool)
+    below = np.empty(out.shape, dtype=bool)
     for k in range(len(offsets) - 2, -1, -1):
-        np.not_equal(views[k], out, out=differs)
+        np.less(views[k], out, out=below)
         win += 1
-        win *= differs
-    win[np.isnan(out)] = 0
+        win *= below
     return out, PoolCache(win=win, params=p, input_hw=(h, w))
 
 

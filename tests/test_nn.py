@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -42,6 +43,13 @@ def test_conv_shape_errors():
         nn.conv2d_forward(x, np.zeros((3, 3, 1, 4)), np.zeros(4))
     with pytest.raises(ValueError):
         nn.conv2d_forward(np.zeros((1, 2, 2, 1)), np.zeros((3, 3, 1, 4)), np.zeros(4))
+
+
+@pytest.mark.parametrize("bias", [np.zeros(3), np.zeros(5), np.zeros((1, 4))],
+                         ids=["short", "long", "2-d"])
+def test_conv_rejects_a_bias_not_one_per_output_channel(bias):
+    with pytest.raises(ValueError, match=re.escape(f"bias shape {bias.shape}") + ".*output width 4"):
+        nn.conv2d_forward(np.zeros((1, 5, 5, 2)), np.zeros((3, 3, 2, 4)), bias)
 
 
 def test_conv_backward_zero_grad():
@@ -241,6 +249,12 @@ def test_dense_shape_error():
         nn.dense_forward(np.zeros((2, 3)), np.zeros((4, 5)), np.zeros(5))
 
 
+def test_dense_rejects_a_bias_not_one_per_output_unit():
+    # A 1-element bias would broadcast over the three units.
+    with pytest.raises(ValueError, match=r"bias shape \(1,\).*output width 3"):
+        nn.dense_forward(np.ones((4, 6)), np.ones((6, 3)), np.array([0.5]))
+
+
 @pytest.mark.parametrize("grad_shape", [(2, 5), (3, 4)], ids=["units", "batch"])
 def test_dense_backward_rejects_grad_out_of_another_shape(grad_shape):
     with pytest.raises(ValueError, match="grad_out shape"):
@@ -312,6 +326,17 @@ def test_softmax_label_out_of_range():
         nn.softmax_cross_entropy(np.zeros((1, 10)), np.array([10]))
     with pytest.raises(ValueError):
         nn.softmax_cross_entropy(np.zeros((1, 10)), np.array([-1]))
+
+
+@pytest.mark.parametrize("labels,named", [
+    ([3], r"shape \(1,\)"),  # would broadcast over all five rows
+    (np.array([[1, 2, 3, 4, 5]]), r"shape \(1, 5\)"),
+    ([3, 1], r"shape \(2,\)"),
+    (np.array([1.0, 2.0, 3.0, 4.0, 5.0]), r"dtype float64"),
+], ids=["one-label", "2-d", "too-few", "float"])
+def test_softmax_rejects_labels_not_one_integer_per_row(labels, named):
+    with pytest.raises(ValueError, match=named + r".*logits of shape \(5, 10\)"):
+        nn.softmax_cross_entropy(np.zeros((5, 10)), labels)
 
 
 def test_softmax_finite_differences():

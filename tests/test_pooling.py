@@ -335,6 +335,49 @@ def test_nan_window_pools_to_nan():
     assert (cache.relu_mask[0, :, :, 0] == [[False, True], [True, False]]).all()
 
 
+def _first_max_offsets(x, p):
+    """Brute force, window by window: the first row-major offset whose value
+    equals the window's max, or 0 where the max is NaN."""
+    b, _, _, c = x.shape
+    win = np.zeros((b, p.out_h, p.out_w, c), dtype=np.int64)
+    for n, i, j, ch in np.ndindex(win.shape):
+        values = x[n, i * p.stride_h:i * p.stride_h + p.window_h,
+                   j * p.stride_w:j * p.stride_w + p.window_w, ch].ravel()
+        top = values.max()
+        win[n, i, j, ch] = 0 if np.isnan(top) else int(np.flatnonzero(values == top)[0])
+    return win
+
+
+@pytest.mark.parametrize("side,target,window,stride", [
+    (8, 4, 2, 2),     # 2x2, the fixed pool's geometry
+    (9, 4, 3, 2),     # 3x3 at stride 2: neighbouring windows share a row and column
+    (33, 2, 17, 16),  # 17x17: 289 offsets, so win is uint16
+])
+def test_winner_is_the_first_offset_holding_the_max(side, target, window, stride):
+    rng = np.random.default_rng(side)
+    inf = np.inf
+    x = np.empty((2, side, side, 3))
+    x[..., 0] = rng.choice([-inf, -1.0, -0.0, 0.0, 1.0, inf], size=(2, side, side))
+    x[..., 1] = rng.choice([-1.0, -0.0, 0.0], size=(2, side, side))  # zero maxima, either sign
+    x[..., 2] = rng.choice([-inf, -2.0], size=(2, side, side))
+    x[0, :window, :window, 1] = -1.0
+    x[0, window - 1, 0, 1], x[0, window - 1, 1, 1] = -0.0, 0.0  # -0.0 ties +0.0, -0.0 first
+    x[0, :window, :window, 2] = -inf  # an all -inf window
+    x[1, 1, 1, :] = np.nan  # not the first offset of the first window
+    p = pooling.compute_pool_params(side, side, target, target)
+    assert (p.window_h, p.stride_h, p.out_h) == (window, stride, target)
+    expected = _first_max_offsets(x, p)
+    assert expected[0, 0, 0, 1] == (window - 1) * window
+    assert np.isnan(x[1, 1, 1, 0]) and (expected[1, 0, 0] == 0).all()
+    for out, cache in (pooling.max_pool_forward(x, p), pooling.nirmal_forward(x, target, target)):
+        assert cache.win.dtype == (np.uint16 if window * window > 256 else np.uint8)
+        assert (cache.win == expected).all()
+    out, cache = pooling.max_pool_forward(x, p)
+    assert np.isnan(out[1, 0, 0]).all() and out[0, 0, 0, 2] == -inf
+    picked = x.reshape(-1)[cache.argmax]
+    assert ((picked == out) | np.isnan(out)).all()
+
+
 def test_fused_pool_mask_is_the_pre_relu_sign():
     # Signed zeros, negatives and ties: the mask read from the fused output
     # is True exactly where the max before the ReLU was > 0.
