@@ -368,11 +368,12 @@ def test_winner_is_the_first_offset_holding_the_max(side, target, window, stride
     assert (p.window_h, p.stride_h, p.out_h) == (window, stride, target)
     expected = _first_max_offsets(x, p)
     assert expected[0, 0, 0, 1] == (window - 1) * window
-    assert np.isnan(x[1, 1, 1, 0]) and (expected[1, 0, 0] == 0).all()
-    for out, cache in (pooling.max_pool_forward(x, p), pooling.nirmal_forward(x, target, target)):
+    assert (expected[1, 0, 0] == 0).all()
+    plain = pooling.max_pool_forward(x, p)
+    for _, cache in (plain, pooling.nirmal_forward(x, target, target)):
         assert cache.win.dtype == (np.uint16 if window * window > 256 else np.uint8)
         assert (cache.win == expected).all()
-    out, cache = pooling.max_pool_forward(x, p)
+    out, cache = plain
     assert np.isnan(out[1, 0, 0]).all() and out[0, 0, 0, 2] == -inf
     picked = x.reshape(-1)[cache.argmax]
     assert ((picked == out) | np.isnan(out)).all()
