@@ -623,6 +623,36 @@ def test_micro_batches_are_the_whole_batch_network(monkeypatch, spec, shape):
 
 @pytest.mark.parametrize("placement", nn.PLACEMENTS)
 @pytest.mark.parametrize("variant", nn.VARIANTS)
+def test_model_pools_each_stage_with_the_plans_geometry(monkeypatch, variant, placement):
+    """One forward and backward over three micro-batches derives each stage's
+    pool once, in `plan`. Every micro-batch pools through `max_pool_forward`
+    on that geometry, fused with the ReLU where the plan says, and never
+    through the wrappers that derive it again from the map."""
+    spec = nn.ModelSpec(pooling_variant=variant, activation_placement=placement)
+    shape = (7, 28, 28, 1)
+    rng = np.random.default_rng(26)
+    params = nn.init_params(spec, shape, seed=26)
+    batch, labels = rng.normal(size=shape), rng.integers(0, 10, shape[0])
+    stages, budget = nn.plan(spec, shape), 3 * _micro_batch_bytes_per_image(spec, shape)
+    calls = {name: [] for name in ("compute_pool_params", "max_pool2x2_params", "nirmal_forward",
+                                   "max_pool2x2_forward", "max_pool_forward", "_fuse_relu")}
+    for name, log in calls.items():
+        real = getattr(pooling, name)
+        monkeypatch.setattr(pooling, name, lambda *args, real=real, log=log, **kwargs:
+                            log.append(args) or real(*args, **kwargs))
+    monkeypatch.setattr(nn, "MICRO_BATCH_BYTES", budget)
+    logits, cache = nn.model_forward(spec, params, batch)
+    _, grad_logits = nn.softmax_cross_entropy(logits, labels)
+    nn.model_backward(spec, params, cache, grad_logits)
+    assert len(cache.micro_batches) == 3
+    assert len(calls["compute_pool_params"]) + len(calls["max_pool2x2_params"]) == len(stages)
+    assert calls["nirmal_forward"] == calls["max_pool2x2_forward"] == []
+    assert [p for _, p in calls["max_pool_forward"]] == [s.pool for s in stages] * 3
+    assert len(calls["_fuse_relu"]) == 3 * sum(s.relu for s in stages)
+
+
+@pytest.mark.parametrize("placement", nn.PLACEMENTS)
+@pytest.mark.parametrize("variant", nn.VARIANTS)
 def test_empty_batch_forward_runs_every_stage(monkeypatch, variant, placement):
     """An empty batch is one empty micro-batch through every conv stage."""
     spec = nn.ModelSpec(pooling_variant=variant, activation_placement=placement)
@@ -846,8 +876,8 @@ def test_init_params_runs_no_conv_or_pool(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("init_params ran a layer")
 
-    for module, name in ((nn, "conv2d_forward"), (pooling, "nirmal_forward"),
-                         (pooling, "max_pool2x2_forward")):
+    for module, name in ((nn, "conv2d_forward"), (pooling, "max_pool_forward"),
+                         (pooling, "nirmal_forward"), (pooling, "max_pool2x2_forward")):
         monkeypatch.setattr(module, name, fail)
     for variant in ("nirmal", "max2x2"):
         spec = nn.ModelSpec(pooling_variant=variant, pool_targets=((14, 14), (5, 5)))
