@@ -13,9 +13,9 @@ gives the same network under either placement, and the 2x2 baseline is
 unfused only under `pool_only`.
 
 A pool places windows only where they fit whole. `plan` works out each
-stage's pool and fused ReLU from the spec and the input shape alone, every
-stage pools with `pooling.max_pool_forward` on it, and each conv computes
-only what the pool's windows read; the input gradient of the rest is zero.
+stage's geometry from the spec and the input shape alone, and each conv
+computes only the part of its output that the pool's windows read; the
+input gradient of the rest is zero.
 
 `model_forward` and `model_backward` run the conv stages one micro-batch of
 whole images at a time, every stage on a micro-batch before the next
@@ -215,14 +215,15 @@ class Stage:
 
     reads: tuple[int, int]  # input rows and cols the conv reads: pool footprint + KERNEL_SIZE - 1
     pool: pooling.PoolParams
+    target: tuple[int, int] | None  # the adaptive pool's (th, tw); None for the fixed 2x2 pool
     relu: bool  # a ReLU is fused after the pool
 
 
 def plan(spec: ModelSpec, input_shape: tuple[int, int, int, int]) -> tuple[Stage, ...]:
     """Each conv stage's geometry on inputs of `input_shape`, from integers
     alone: the one place the variants differ. max2x2 pools 2x2, fused with a
-    ReLU only under after_conv; nirmal derives its window from the stage's
-    target, where a None target halves the map, and always fuses the ReLU."""
+    ReLU only under after_conv; nirmal runs the fused adaptive pool toward the
+    stage's target, where a None target halves the map."""
     _, h, w, _ = input_shape
     stages = []
     for target in spec.pool_targets:  # one per conv stage
@@ -230,13 +231,13 @@ def plan(spec: ModelSpec, input_shape: tuple[int, int, int, int]) -> tuple[Stage
             raise ValueError(f"spatial dims {(h, w)} smaller than kernel {(KERNEL_SIZE,) * 2}")
         h, w = h - KERNEL_SIZE + 1, w - KERNEL_SIZE + 1
         if spec.pooling_variant == "max2x2":
-            relu = spec.activation_placement == "after_conv"
+            target, relu = None, spec.activation_placement == "after_conv"
             pool = pooling.max_pool2x2_params(h, w)
         else:
             target = target or (max(1, h // 2), max(1, w // 2))
             relu, pool = True, pooling.compute_pool_params(h, w, *target)
         rows, cols = pool.footprint
-        stages.append(Stage((rows + KERNEL_SIZE - 1, cols + KERNEL_SIZE - 1), pool, relu))
+        stages.append(Stage((rows + KERNEL_SIZE - 1, cols + KERNEL_SIZE - 1), pool, target, relu))
         h, w = pool.out_h, pool.out_w
     return tuple(stages)
 
@@ -297,9 +298,8 @@ def model_forward(spec: ModelSpec, params: dict[str, np.ndarray],
             rows, cols = stage.reads
             x = conv2d_forward(maps[idx - 1][images, :rows, :cols],
                                params[f"conv{idx}_w"], params[f"conv{idx}_b"])
-            x, pc = pooling.max_pool_forward(x, stage.pool)
-            if stage.relu:
-                x, pc = pooling._fuse_relu(x, pc)
+            x, pc = (pooling.nirmal_forward(x, *stage.target) if stage.target is not None
+                     else pooling.max_pool2x2_forward(x, relu=stage.relu))
             if images.start == 0:
                 maps.append(np.empty((b, *x.shape[1:]), x.dtype))
                 cache.pool_caches.append(pooling.PoolCache(

@@ -14,12 +14,11 @@ size:
 Windows are placed only where they fully fit (no padding); trailing rows and
 columns outside the windows' footprint, (out - 1) * S + P, are never read,
 and `nn` does not compute them. The fused variant applies ReLU to the pooled
-maxima; the fixed 2x2 pool applies none. `nn` calls `max_pool_forward` on
-its plan's `PoolParams`, then `_fuse_relu` where the plan fuses a ReLU.
-One backward pass serves every pool: it routes each output gradient, gated
-by the ReLU mask when the pool is fused, to its window's winner: the first
-offset in row-major order not below the window's max. A NaN max is below
-nothing, so a window holding NaN pools to NaN and its first offset wins.
+maxima; the fixed 2x2 pool does so on request. One backward pass serves
+every pool: it routes each output gradient, gated by the ReLU mask when the
+pool is fused, to its window's winner: the first offset in row-major order
+not below the window's max. A NaN max is below nothing, so a window holding
+NaN pools to NaN and its first offset wins.
 
 The forward keeps one byte per output for backward: the winning window
 offset (two bytes past 256 offsets). The flat input coordinate and the ReLU
@@ -198,7 +197,9 @@ def max_pool2x2_params(h: int, w: int) -> PoolParams:
     return PoolParams(2, 2, 2, 2, output_shape(h, 2, 2), output_shape(w, 2, 2))
 
 
-def max_pool2x2_forward(x: np.ndarray) -> tuple[np.ndarray, PoolCache]:
-    """Standard max pooling with fixed 2x2 window and stride, unfused."""
-    return max_pool_forward(x, max_pool2x2_params(*x.shape[1:3]))
+def max_pool2x2_forward(x: np.ndarray, relu: bool = False) -> tuple[np.ndarray, PoolCache]:
+    """Standard max pooling with fixed 2x2 window and stride; with relu=True
+    a ReLU is fused after it, as in nirmal_forward."""
+    result = max_pool_forward(x, max_pool2x2_params(*x.shape[1:3]))
+    return _fuse_relu(*result) if relu else result
 

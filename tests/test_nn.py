@@ -573,7 +573,9 @@ def test_micro_batches_are_the_whole_batch_network(monkeypatch, spec, shape):
     """A batch of 7 split into micro-batches of 3, 3 and 1 images gives the
     logits, pooled maps and winning offsets of one micro-batch bitwise, and
     its gradients to 1e-12, the conv gradients being summed in another order.
-    The stages run micro-batch by micro-batch, forward and backward."""
+    The stages run micro-batch by micro-batch, forward and backward. Every
+    micro-batch pools through its variant's public wrapper, the call the
+    benchmark's tracer probes, on the geometry `plan` gives."""
     rng = np.random.default_rng(23)
     params = {k: v + 0.1 * rng.standard_normal(v.shape)  # nonzero biases
               for k, v in nn.init_params(spec, shape, seed=23).items()}
@@ -590,11 +592,28 @@ def test_micro_batches_are_the_whole_batch_network(monkeypatch, spec, shape):
         calls.append(("backward", stage_of[id(kernels)], len(x)))
         return backward(x, kernels, grad_out, need_grad_x=need_grad_x)
 
+    pools, geometry = [], []
+    wrappers = {name: getattr(pooling, name) for name in ("nirmal_forward", "max_pool2x2_forward")}
+    max_pool = pooling.max_pool_forward
+
+    def pool_spy(name):
+        def spy(x, *args, **kwargs):
+            pools.append((name, len(x)))
+            return wrappers[name](x, *args, **kwargs)
+        return spy
+
+    def max_pool_spy(x, params):
+        geometry.append(params)
+        return max_pool(x, params)
+
     def step(budget):
         with monkeypatch.context() as mp:
             mp.setattr(nn, "MICRO_BATCH_BYTES", budget)
             mp.setattr(nn, "conv2d_forward", forward_spy)
             mp.setattr(nn, "conv2d_backward", backward_spy)
+            for name in wrappers:
+                mp.setattr(pooling, name, pool_spy(name))
+            mp.setattr(pooling, "max_pool_forward", max_pool_spy)
             logits, cache = nn.model_forward(spec, params, batch)
             _, grad_logits = nn.softmax_cross_entropy(logits, labels)
             return logits, cache, nn.model_backward(spec, params, cache, grad_logits)
@@ -602,10 +621,14 @@ def test_micro_batches_are_the_whole_batch_network(monkeypatch, spec, shape):
     per_image = _micro_batch_bytes_per_image(spec, shape)
     ref_logits, ref_cache, ref_grads = step(shape[0] * per_image)
     assert calls == [("forward", 1, 7), ("forward", 2, 7), ("backward", 2, 7), ("backward", 1, 7)]
-    calls.clear()
+    for log in (calls, pools, geometry):
+        log.clear()
     logits, cache, grads = step(3 * per_image)
     assert calls == [("forward", stage, n) for n in (3, 3, 1) for stage in (1, 2)] + [
         ("backward", stage, n) for n in (3, 3, 1) for stage in (2, 1)]
+    wrapper = "nirmal_forward" if spec.pooling_variant == "nirmal" else "max_pool2x2_forward"
+    assert pools == [(wrapper, n) for n in (3, 3, 1) for _ in (1, 2)]
+    assert geometry == [stage.pool for stage in nn.plan(spec, shape)] * 3
 
     assert logits.tobytes() == ref_logits.tobytes()
     assert cache.conv_inputs[0] is batch
@@ -619,36 +642,6 @@ def test_micro_batches_are_the_whole_batch_network(monkeypatch, spec, shape):
     assert set(grads) == set(ref_grads)
     for key in ref_grads:
         _assert_close(grads[key], ref_grads[key], 1e-12)
-
-
-@pytest.mark.parametrize("placement", nn.PLACEMENTS)
-@pytest.mark.parametrize("variant", nn.VARIANTS)
-def test_model_pools_each_stage_with_the_plans_geometry(monkeypatch, variant, placement):
-    """One forward and backward over three micro-batches derives each stage's
-    pool once, in `plan`. Every micro-batch pools through `max_pool_forward`
-    on that geometry, fused with the ReLU where the plan says, and never
-    through the wrappers that derive it again from the map."""
-    spec = nn.ModelSpec(pooling_variant=variant, activation_placement=placement)
-    shape = (7, 28, 28, 1)
-    rng = np.random.default_rng(26)
-    params = nn.init_params(spec, shape, seed=26)
-    batch, labels = rng.normal(size=shape), rng.integers(0, 10, shape[0])
-    stages, budget = nn.plan(spec, shape), 3 * _micro_batch_bytes_per_image(spec, shape)
-    calls = {name: [] for name in ("compute_pool_params", "max_pool2x2_params", "nirmal_forward",
-                                   "max_pool2x2_forward", "max_pool_forward", "_fuse_relu")}
-    for name, log in calls.items():
-        real = getattr(pooling, name)
-        monkeypatch.setattr(pooling, name, lambda *args, real=real, log=log, **kwargs:
-                            log.append(args) or real(*args, **kwargs))
-    monkeypatch.setattr(nn, "MICRO_BATCH_BYTES", budget)
-    logits, cache = nn.model_forward(spec, params, batch)
-    _, grad_logits = nn.softmax_cross_entropy(logits, labels)
-    nn.model_backward(spec, params, cache, grad_logits)
-    assert len(cache.micro_batches) == 3
-    assert len(calls["compute_pool_params"]) + len(calls["max_pool2x2_params"]) == len(stages)
-    assert calls["nirmal_forward"] == calls["max_pool2x2_forward"] == []
-    assert [p for _, p in calls["max_pool_forward"]] == [s.pool for s in stages] * 3
-    assert len(calls["_fuse_relu"]) == 3 * sum(s.relu for s in stages)
 
 
 @pytest.mark.parametrize("placement", nn.PLACEMENTS)
