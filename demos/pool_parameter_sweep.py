@@ -5,18 +5,18 @@ from collections import Counter
 
 from nirmalpool import harness
 
-rows = harness.poolcheck(64)
-deviating = [r for r in rows if r.deviates]
-print(f"{len(rows)} (input, target) pairs; {len(deviating)} deviate from the request")
+sweep = harness.poolcheck(64)
+deviating = {key: p for key, p in sweep.items() if p.out_h != key[1]}
+print(f"{len(sweep)} (input, target) pairs; {len(deviating)} deviate from the request")
 
-by_delta = Counter(r.achieved - r.target for r in deviating)
+by_delta = Counter(p.out_h - target for (_, target), p in deviating.items())
 print("deviation histogram (achieved - requested):")
 for delta in sorted(by_delta):
     print(f"  {delta:+3d}: {by_delta[delta]} cases")
 
 print("\nexamples around the 28-pixel case:")
-for r in rows:
-    if r.h_in == 28 and r.target in (9, 10, 11, 13, 14, 15):
-        flag = "DEVIATES" if r.deviates else "exact"
-        print(f"  input 28 target {r.target:>2} -> window {r.window} "
-              f"stride {r.stride} out {r.achieved}  {flag}")
+for target in (9, 10, 11, 13, 14, 15):
+    p = sweep[(28, target)]
+    flag = "DEVIATES" if p.out_h != target else "exact"
+    print(f"  input 28 target {target:>2} -> window {p.window_h} "
+          f"stride {p.stride_h} out {p.out_h}  {flag}")

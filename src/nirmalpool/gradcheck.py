@@ -24,11 +24,10 @@ TOL = 1e-5
 class CheckResult:
     name: str
     max_rel_error: float
-    tolerance: float
 
     @property
     def passed(self) -> bool:
-        return self.max_rel_error < self.tolerance
+        return self.max_rel_error < TOL
 
 
 def numeric_gradient(f: Callable[[np.ndarray], float], x: np.ndarray,
@@ -60,7 +59,7 @@ def _check(name: str, loss: Callable, inputs: Sequence, grads: Sequence) -> Chec
     loss(*inputs) in inputs[i], which numeric_gradient perturbs in place."""
     err = max(relative_error(g, numeric_gradient(lambda _: loss(*inputs), x, g))
               for x, g in zip(inputs, grads))
-    return CheckResult(name, err, TOL)
+    return CheckResult(name, err)
 
 
 def _weighted_sum(forward: Callable[..., np.ndarray], weights: np.ndarray):

@@ -292,26 +292,11 @@ def comparison_table(reports: dict[str, RunReport]) -> str:
     return "\n".join(lines)
 
 
-@dataclass
-class PoolCheckRow:
-    h_in: int
-    target: int
-    window: int
-    stride: int
-    achieved: int
-    deviates: bool
-
-
-def poolcheck(max_dim: int = 64) -> list[PoolCheckRow]:
-    """Sweep adaptive parameter derivation over (input, target) pairs and
-    flag where the achieved output size deviates from the request."""
+def poolcheck(max_dim: int = 64) -> dict[tuple[int, int], pooling.PoolParams]:
+    """Sweep adaptive parameter derivation over square (input, target) pairs,
+    by input then target; a pair deviates where its out_h is not the target."""
     if max_dim < 1:
         raise ValueError(f"max_dim must be >= 1, got {max_dim}")
-    rows = []
-    for h_in in range(1, max_dim + 1):
-        for target in range(1, max_dim + 1):
-            p = pooling.compute_pool_params(h_in, h_in, target, target)
-            rows.append(PoolCheckRow(h_in=h_in, target=target, window=p.window_h,
-                                     stride=p.stride_h, achieved=p.out_h,
-                                     deviates=p.out_h != target))
-    return rows
+    dims = range(1, max_dim + 1)
+    return {(h_in, target): pooling.compute_pool_params(h_in, h_in, target, target)
+            for h_in in dims for target in dims}

@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import pooling
 
@@ -63,7 +62,9 @@ def _im2col(x: np.ndarray, kh: int, kw: int, oh: int, ow: int) -> np.ndarray:
     """The im2col matrix (Chellapilla, Puri & Simard, 2006) of the top-left
     oh x ow of x's kh x kw windows, one row each, plus a ones column: one GEMM
     with [W; bias] adds the bias, and cols^T @ grad_out ends in grad_bias."""
-    windows = sliding_window_view(x, (kh, kw), axis=(1, 2))[:, :oh, :ow].transpose(0, 1, 2, 4, 5, 3)
+    sb, sh, sw, sc = x.strides
+    windows = np.lib.stride_tricks.as_strided(x, (len(x), oh, ow, kh, kw, x.shape[3]),
+                                              (sb, sh, sw, sh, sw, sc), writeable=False)
     k = kh * kw * x.shape[3]
     cols = np.empty((len(x) * oh * ow, k + 1), x.dtype)
     cols[:, k] = 1.0

@@ -11,6 +11,10 @@ size:
     S = max(1, floor(in / target))   (stride)
     out = floor((in - P) / S) + 1
 
+This is the per-level rule of spatial pyramid pooling (He, Zhang, Ren &
+Sun, ECCV 2014); with P > S the windows overlap, as in fractional
+max-pooling (Graham, "Fractional Max-Pooling", arXiv 1412.6071).
+
 Windows are placed only where they fully fit (no padding); trailing rows and
 columns outside the windows' footprint, (out - 1) * S + P, are never read,
 and `nn` does not compute them. The fused variant applies ReLU to the pooled
@@ -27,7 +31,7 @@ read. So a caller must not mutate a fused pool's output before backward.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,8 +73,8 @@ class PoolCache:
     relu_out: np.ndarray | None = None
 
     def __getitem__(self, images: slice) -> "PoolCache":
-        return replace(self, win=self.win[images],
-                       relu_out=None if self.relu_out is None else self.relu_out[images])
+        return PoolCache(self.win[images], self.params, self.input_hw,
+                         None if self.relu_out is None else self.relu_out[images])
 
     @property
     def argmax(self) -> np.ndarray:
@@ -166,7 +170,7 @@ def _relu(t: np.ndarray) -> np.ndarray:
 
 
 def _fuse_relu(pooled: np.ndarray, cache: PoolCache) -> tuple[np.ndarray, PoolCache]:
-    return _relu(pooled), replace(cache, relu_out=pooled)
+    return _relu(pooled), PoolCache(cache.win, cache.params, cache.input_hw, pooled)
 
 
 def nirmal_forward(x: np.ndarray, h_out_target: int, w_out_target: int) -> tuple[np.ndarray, PoolCache]:

@@ -128,12 +128,12 @@ def test_compare_keeps_configured_placement(monkeypatch):
 
 
 def test_poolcheck_rows():
-    rows = {(r.h_in, r.target): r for r in harness.poolcheck(32)}
-    row = rows[(28, 10)]
-    assert (row.window, row.stride, row.achieved, row.deviates) == (3, 2, 13, True)
-    row = rows[(28, 14)]
-    assert (row.achieved, row.deviates) == (14, False)
-    assert all(r.achieved >= 1 for r in rows.values())
+    sweep = harness.poolcheck(32)
+    assert list(sweep) == [(h, t) for h in range(1, 33) for t in range(1, 33)]
+    p = sweep[(28, 10)]
+    assert (p.window_h, p.stride_h, p.out_h) == (3, 2, 13)  # deviates from 10
+    assert sweep[(28, 14)].out_h == 14
+    assert all(p.out_h >= 1 for p in sweep.values())
 
 
 def test_gradcheck_suite_passes_and_corruption_detected(monkeypatch):

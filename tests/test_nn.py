@@ -37,6 +37,18 @@ def test_conv_matches_loop_oracle():
     np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-14)
 
 
+def test_im2col_of_a_cropped_view_matches_brute_force():
+    # A cropped slice of a whole-batch map, as model_forward passes a conv:
+    # not contiguous, so window views built from wrong strides read wrong pixels.
+    maps = np.random.default_rng(5).normal(size=(5, 9, 8, 3))
+    x = maps[1:4, :7, :6]
+    kh, kw, oh, ow = 3, 2, 4, 3  # the top-left 4x3 of x's 5x5 valid windows
+    assert not x.flags.c_contiguous
+    expected = np.array([np.append(x[b, i:i + kh, j:j + kw].ravel(), 1.0)
+                         for b in range(len(x)) for i in range(oh) for j in range(ow)])
+    assert (nn._im2col(x, kh, kw, oh, ow) == expected).all()
+
+
 def test_conv_shape_errors():
     x = np.zeros((1, 5, 5, 2))
     with pytest.raises(ValueError):
