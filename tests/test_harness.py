@@ -112,19 +112,16 @@ def test_compare_deterministic():
         assert a[variant].test_accuracy == b[variant].test_accuracy
 
 
-def test_compare_keeps_configured_placement(monkeypatch):
-    specs = []  # the spec each run trains with
-    init = nn.init_params
-    monkeypatch.setattr(nn, "init_params",
-                        lambda spec, *args, **kw: specs.append(spec) or init(spec, *args, **kw))
+def test_compare_keeps_configured_placement(record):
+    calls = record(nn, "init_params")  # one per run, with the spec it trains
     reports = harness.compare(synth_config(epochs=1, activation_placement="pool_only"))
-    assert [s.activation_placement for s in specs] == ["pool_only", "pool_only"]
+    assert [c.args["spec"].activation_placement for c in calls] == ["pool_only", "pool_only"]
     assert all(r.config["activation_placement"] == "pool_only" for r in reports.values())
 
-    specs.clear()
+    calls.clear()
     harness.compare(synth_config(epochs=1))
-    assert {s.pooling_variant: s.activation_placement for s in specs} == \
-           {"max2x2": "after_conv", "nirmal": "pool_only"}
+    assert {c.args["spec"].pooling_variant: c.args["spec"].activation_placement
+            for c in calls} == {"max2x2": "after_conv", "nirmal": "pool_only"}
 
 
 def test_poolcheck_rows():

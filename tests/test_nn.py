@@ -224,22 +224,16 @@ def _is_view_of(x, whole):
     return x.base is whole and np.shares_memory(x, whole)
 
 
-def test_model_backward_skips_input_gradient(monkeypatch):
+def test_model_backward_skips_input_gradient(record):
     spec = nn.ModelSpec()
     params = nn.init_params(spec, (1, 28, 28, 1), seed=0)
     batch = np.random.default_rng(6).uniform(size=(2, 28, 28, 1))
     logits, cache = nn.model_forward(spec, params, batch)
     _, grad_logits = nn.softmax_cross_entropy(logits, np.array([3, 7]))
-    calls = []
-    backward = nn.conv2d_backward
-
-    def spy(x, kernels, grad_out, need_grad_x=True):
-        calls.append((_is_view_of(x, batch), need_grad_x))
-        return backward(x, kernels, grad_out, need_grad_x=need_grad_x)
-
-    monkeypatch.setattr(nn, "conv2d_backward", spy)
+    calls = record(nn, "conv2d_backward")
     nn.model_backward(spec, params, cache, grad_logits)
-    assert calls == [(False, True), (True, False)]
+    assert [(_is_view_of(c.args["x"], batch), c.args["need_grad_x"]) for c in calls] == \
+           [(False, True), (True, False)]
 
 
 def test_dense_identity_and_bias():
@@ -468,22 +462,14 @@ def test_pool_caches_keep_one_small_integer_per_output(spec):
     assert spec.pool_targets != ((1, 1),) or cache.pool_caches[0].win.dtype == np.uint16
 
 
-def _run_model(monkeypatch, spec, params, batch, labels):
+def _run_model(record, spec, params, batch, labels):
     """Logits, cache and gradients of one step, with the gradient that
     reached each pool's backward, last stage first."""
-    pool_grads = []
-    backward = pooling.nirmal_backward
-
-    def spy(grad_out, cache):
-        pool_grads.append(grad_out)
-        return backward(grad_out, cache)
-
-    with monkeypatch.context() as mp:
-        mp.setattr(pooling, "nirmal_backward", spy)
-        logits, cache = nn.model_forward(spec, params, batch)
-        _, grad_logits = nn.softmax_cross_entropy(logits, labels)
-        grads = nn.model_backward(spec, params, cache, grad_logits)
-    return logits, cache, grads, pool_grads
+    calls = record(pooling, "nirmal_backward")
+    logits, cache = nn.model_forward(spec, params, batch)
+    _, grad_logits = nn.softmax_cross_entropy(logits, labels)
+    grads = nn.model_backward(spec, params, cache, grad_logits)
+    return logits, cache, grads, [c.args["grad_out"] for c in calls]
 
 
 def _assert_close(actual, expected, rtol):
@@ -499,12 +485,12 @@ def _assert_close(actual, expected, rtol):
      (4, 32, 32, 3)),
     (nn.ModelSpec(pooling_variant="max2x2"), (4, 28, 28, 1)),
 ], ids=["cifar_targets", "max2x2_mnist"])
-def test_cropped_convs_are_the_uncropped_network(monkeypatch, spec, shape):
+def test_cropped_convs_are_the_uncropped_network(monkeypatch, record, spec, shape):
     rng = np.random.default_rng(18)
     params = {k: v + 0.1 * rng.standard_normal(v.shape)  # nonzero biases
               for k, v in nn.init_params(spec, shape, seed=18).items()}
     batch, labels = rng.normal(size=shape), rng.integers(0, 10, shape[0])
-    logits, cache, grads, pool_grads = _run_model(monkeypatch, spec, params, batch, labels)
+    logits, cache, grads, pool_grads = _run_model(record, spec, params, batch, labels)
     plan = nn.plan
 
     def whole_inputs(spec, input_shape):
@@ -519,7 +505,7 @@ def test_cropped_convs_are_the_uncropped_network(monkeypatch, spec, shape):
         # the rows and columns its windows miss.
         mp.setattr(nn, "plan", whole_inputs)
         ref_logits, ref_cache, ref_grads, ref_pool_grads = _run_model(
-            monkeypatch, spec, params, batch, labels)
+            record, spec, params, batch, labels)
 
     assert logits.tobytes() == ref_logits.tobytes()
     assert cache.conv_inputs[0] is batch
@@ -538,23 +524,17 @@ def test_cropped_convs_are_the_uncropped_network(monkeypatch, spec, shape):
     _assert_close(grad_x, ref_grad_x, 1e-12)
 
 
-def test_uncropped_conv_reads_its_input_itself(monkeypatch):
+def test_uncropped_conv_reads_its_input_itself(record):
     """Where the pool reads the whole conv output, the conv gets a view of
     the stage's whole input, not a copy of it."""
     spec = nn.ModelSpec()
     params = nn.init_params(spec, (1, 28, 28, 1), seed=0)
     batch = np.random.default_rng(20).uniform(size=(2, 28, 28, 1))
-    inputs = []
-    forward = nn.conv2d_forward
-
-    def spy(x, kernels, bias):
-        inputs.append(x)
-        return forward(x, kernels, bias)
-
-    monkeypatch.setattr(nn, "conv2d_forward", spy)
+    calls = record(nn, "conv2d_forward")
     _, cache = nn.model_forward(spec, params, batch)
-    assert len(inputs) == 2
-    for x, stage_input in zip(inputs, cache.conv_inputs, strict=True):
+    assert len(calls) == 2
+    for call, stage_input in zip(calls, cache.conv_inputs, strict=True):
+        x = call.args["x"]
         assert x.shape == stage_input.shape and _is_view_of(x, stage_input)
 
 
@@ -581,7 +561,7 @@ MICRO_BATCH_SPECS = [
 
 
 @pytest.mark.parametrize("spec, shape", MICRO_BATCH_SPECS)
-def test_micro_batches_are_the_whole_batch_network(monkeypatch, spec, shape):
+def test_micro_batches_are_the_whole_batch_network(monkeypatch, record, spec, shape):
     """A batch of 7 split into micro-batches of 3, 3 and 1 images gives the
     logits, pooled maps and winning offsets of one micro-batch bitwise, and
     its gradients to 1e-12, the conv gradients being summed in another order.
@@ -593,54 +573,33 @@ def test_micro_batches_are_the_whole_batch_network(monkeypatch, spec, shape):
               for k, v in nn.init_params(spec, shape, seed=23).items()}
     batch, labels = rng.normal(size=shape), rng.integers(0, 10, shape[0])
     stage_of = {id(params[f"conv{i}_w"]): i for i in (1, 2)}
-    calls = []
-    forward, backward = nn.conv2d_forward, nn.conv2d_backward
-
-    def forward_spy(x, kernels, bias):
-        calls.append(("forward", stage_of[id(kernels)], len(x)))
-        return forward(x, kernels, bias)
-
-    def backward_spy(x, kernels, grad_out, need_grad_x=True):
-        calls.append(("backward", stage_of[id(kernels)], len(x)))
-        return backward(x, kernels, grad_out, need_grad_x=need_grad_x)
-
-    pools, geometry = [], []
-    wrappers = {name: getattr(pooling, name) for name in ("nirmal_forward", "max_pool2x2_forward")}
-    max_pool = pooling.max_pool_forward
-
-    def pool_spy(name):
-        def spy(x, *args, **kwargs):
-            pools.append((name, len(x)))
-            return wrappers[name](x, *args, **kwargs)
-        return spy
-
-    def max_pool_spy(x, params):
-        geometry.append(params)
-        return max_pool(x, params)
+    convs = record(nn, "conv2d_forward", "conv2d_backward")
+    pools = record(pooling, "nirmal_forward", "max_pool2x2_forward", "max_pool_forward")
 
     def step(budget):
+        convs.clear()
+        pools.clear()
         with monkeypatch.context() as mp:
             mp.setattr(nn, "MICRO_BATCH_BYTES", budget)
-            mp.setattr(nn, "conv2d_forward", forward_spy)
-            mp.setattr(nn, "conv2d_backward", backward_spy)
-            for name in wrappers:
-                mp.setattr(pooling, name, pool_spy(name))
-            mp.setattr(pooling, "max_pool_forward", max_pool_spy)
             logits, cache = nn.model_forward(spec, params, batch)
             _, grad_logits = nn.softmax_cross_entropy(logits, labels)
             return logits, cache, nn.model_backward(spec, params, cache, grad_logits)
 
+    def conv_calls():
+        return [(c.name, stage_of[id(c.args["kernels"])], len(c.args["x"])) for c in convs]
+
     per_image = _micro_batch_bytes_per_image(spec, shape)
     ref_logits, ref_cache, ref_grads = step(shape[0] * per_image)
-    assert calls == [("forward", 1, 7), ("forward", 2, 7), ("backward", 2, 7), ("backward", 1, 7)]
-    for log in (calls, pools, geometry):
-        log.clear()
+    assert conv_calls() == [("conv2d_forward", 1, 7), ("conv2d_forward", 2, 7),
+                            ("conv2d_backward", 2, 7), ("conv2d_backward", 1, 7)]
     logits, cache, grads = step(3 * per_image)
-    assert calls == [("forward", stage, n) for n in (3, 3, 1) for stage in (1, 2)] + [
-        ("backward", stage, n) for n in (3, 3, 1) for stage in (2, 1)]
+    assert conv_calls() == [("conv2d_forward", stage, n) for n in (3, 3, 1) for stage in (1, 2)] + [
+        ("conv2d_backward", stage, n) for n in (3, 3, 1) for stage in (2, 1)]
     wrapper = "nirmal_forward" if spec.pooling_variant == "nirmal" else "max_pool2x2_forward"
-    assert pools == [(wrapper, n) for n in (3, 3, 1) for _ in (1, 2)]
-    assert geometry == [stage.pool for stage in nn.plan(spec, shape)] * 3
+    assert [(c.name, len(c.args["x"])) for c in pools if c.name != "max_pool_forward"] == \
+           [(wrapper, n) for n in (3, 3, 1) for _ in (1, 2)]
+    assert [c.args["params"] for c in pools if c.name == "max_pool_forward"] == \
+           [stage.pool for stage in nn.plan(spec, shape)] * 3
 
     assert logits.tobytes() == ref_logits.tobytes()
     assert cache.conv_inputs[0] is batch
@@ -658,17 +617,15 @@ def test_micro_batches_are_the_whole_batch_network(monkeypatch, spec, shape):
 
 @pytest.mark.parametrize("placement", nn.PLACEMENTS)
 @pytest.mark.parametrize("variant", nn.VARIANTS)
-def test_empty_batch_forward_runs_every_stage(monkeypatch, variant, placement):
+def test_empty_batch_forward_runs_every_stage(record, variant, placement):
     """An empty batch is one empty micro-batch through every conv stage."""
     spec = nn.ModelSpec(pooling_variant=variant, activation_placement=placement)
     params = nn.init_params(spec, (1, 28, 28, 1), seed=0)
-    inputs, forward = [], nn.conv2d_forward
-    monkeypatch.setattr(nn, "conv2d_forward",
-                        lambda x, kernels, bias: inputs.append(x.shape) or forward(x, kernels, bias))
+    calls = record(nn, "conv2d_forward")
     logits, cache = nn.model_forward(spec, params, np.zeros((0, 28, 28, 1)))
     assert logits.shape == (0, 10)
     assert cache.micro_batches == [slice(0, 0)]
-    assert [shape[::3] for shape in inputs] == [(0, 1), (0, 32)]
+    assert [c.args["x"].shape[::3] for c in calls] == [(0, 1), (0, 32)]
     assert cache.flat_input_shape == (0, 5, 5, 64)
 
 
@@ -718,43 +675,29 @@ CONV_CALL_CASES = [
 
 
 @pytest.mark.parametrize("spec, shape, train", CONV_CALL_CASES)
-def test_every_conv_call_fits_the_micro_batch_budget(monkeypatch, spec, shape, train):
+def test_every_conv_call_fits_the_micro_batch_budget(record, spec, shape, train):
     """Each conv2d_forward and conv2d_backward call's im2col matrix, ones
     column included, and its conv output or conv-output gradient fit in
     MICRO_BATCH_BYTES; every stage still sees every image once each way."""
     rng = np.random.default_rng(25)
     params = nn.init_params(spec, shape, seed=25)
     batch, labels = rng.uniform(size=shape), rng.integers(0, 10, shape[0])
-    calls = []  # (direction, stage's C_in, images, im2col bytes, conv output bytes)
-    forward, backward = nn.conv2d_forward, nn.conv2d_backward
-
-    def record(direction, x, kernels, out):
-        rows = math.prod(out.shape[:3])
-        calls.append((direction, kernels.shape[2], len(x),
-                      rows * (kernels[..., 0].size + 1) * x.itemsize, out.nbytes))
-
-    def forward_spy(x, kernels, bias):
-        out = forward(x, kernels, bias)
-        record("forward", x, kernels, out)
-        return out
-
-    def backward_spy(x, kernels, grad_out, need_grad_x=True):
-        record("backward", x, kernels, grad_out)
-        return backward(x, kernels, grad_out, need_grad_x=need_grad_x)
-
-    monkeypatch.setattr(nn, "conv2d_forward", forward_spy)
-    monkeypatch.setattr(nn, "conv2d_backward", backward_spy)
+    calls = record(nn, "conv2d_forward", "conv2d_backward")
     logits, cache = nn.model_forward(spec, params, batch)
     if train:
         _, grad_logits = nn.softmax_cross_entropy(logits, labels)
         nn.model_backward(spec, params, cache, grad_logits)
 
     assert len(cache.micro_batches) > 1
-    for *_, cols_bytes, out_bytes in calls:
-        assert cols_bytes <= nn.MICRO_BATCH_BYTES and out_bytes <= nn.MICRO_BATCH_BYTES
-    for direction in ("forward", "backward") if train else ("forward",):
+    for c in calls:
+        x, kernels = c.args["x"], c.args["kernels"]
+        out = c.result if c.name == "conv2d_forward" else c.args["grad_out"]
+        cols_bytes = math.prod(out.shape[:3]) * (kernels[..., 0].size + 1) * x.itemsize
+        assert cols_bytes <= nn.MICRO_BATCH_BYTES and out.nbytes <= nn.MICRO_BATCH_BYTES
+    for name in ("conv2d_forward", "conv2d_backward") if train else ("conv2d_forward",):
         for c_in in (shape[3], *spec.conv_filters[:-1]):
-            assert sum(n for d, c, n, *_ in calls if (d, c) == (direction, c_in)) == shape[0]
+            assert sum(len(c.args["x"]) for c in calls
+                       if (c.name, c.args["kernels"].shape[2]) == (name, c_in)) == shape[0]
 
 
 @st.composite
