@@ -179,7 +179,7 @@ def main(argv=None) -> int:
     except harness.DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    except (ValueError, TypeError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

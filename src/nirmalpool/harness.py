@@ -183,7 +183,9 @@ def build_model_spec(config: RunConfig, input_hw: tuple[int, int] | None = None)
 
 def evaluate(spec: nn.ModelSpec, params: dict, dataset: datasets.Dataset,
              batch_size: int) -> tuple[float, float]:
-    """Mean loss and accuracy over a dataset."""
+    """Mean loss and accuracy over a dataset, which must not be empty."""
+    if not len(dataset):
+        raise ValueError("cannot evaluate an empty dataset")
     total_loss = 0.0
     correct = 0
     for start in range(0, len(dataset), batch_size):

@@ -9,8 +9,11 @@ names here, without importing `benchmarks/`.
 
 import dataclasses
 import inspect
+from pathlib import Path
 
 from nirmalpool import data, harness, nn, optim, pooling
+
+import oracles
 
 # Each function and the names of its leading parameters, the ones the
 # benchmark passes or reads.
@@ -28,12 +31,22 @@ LEADING_PARAMETERS = {
     pooling.nirmal_backward: ("grad_out", "cache"),
     harness.build_model_spec: ("config", "input_hw"),
     harness.load_dataset_pair: ("config",),
+    harness.train: ("config",),
+    harness.evaluate: ("spec", "params", "dataset", "batch_size"),
     data.load_mnist: ("paths",),
     data.load_cifar10: ("paths",),
     data.batches: ("dataset", "batch_size", "seed", "epoch"),
     data.split_train_val: ("dataset", "fraction", "seed"),
     data.write_idx_images: ("path", "images"),
     data.write_idx_labels: ("path", "labels"),
+}
+
+# The functions the oracle gates look up by name in tests/oracles.py, which
+# they load by path, and the parameters they pass positionally.
+ORACLE_PARAMETERS = {
+    "conv2d_oracle": ("x", "kernels", "bias"),
+    "nirmal_oracle": ("x", "th", "tw"),
+    "max_pool_oracle": ("x", "ph", "pw", "sh", "sw"),
 }
 
 # The RunConfig fields a benchmark workload sets or reads.
@@ -50,6 +63,11 @@ def test_names_the_benchmark_relies_on():
     for fn, leading in LEADING_PARAMETERS.items():
         names = tuple(inspect.signature(fn).parameters)[:len(leading)]
         assert names == leading, f"{fn.__module__}.{fn.__name__} takes {names}, not {leading}"
+    assert Path(oracles.__file__) == Path(__file__).with_name("oracles.py")
+    for name, parameters in ORACLE_PARAMETERS.items():
+        assert hasattr(oracles, name), f"tests/oracles.py has no {name}"
+        assert tuple(inspect.signature(getattr(oracles, name)).parameters) == parameters, name
+    assert {"pooling_variant", "activation_placement", "pool_targets"} <= _field_names(nn.ModelSpec)
     assert {"conv_inputs", "dense_inputs", "flat_input_shape"} <= _field_names(nn.ForwardCache)
     assert "params" in _field_names(pooling.PoolCache)
     for derived in ("argmax", "relu_mask"):

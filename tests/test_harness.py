@@ -648,6 +648,25 @@ def test_run_config_is_frozen_and_checked_on_replace():
         dataclasses.replace(config, batch_size=0)
 
 
+def test_evaluate_rejects_an_empty_dataset():
+    spec = nn.ModelSpec()
+    params = nn.init_params(spec, (1, 8, 8, 1), seed=0)
+    empty = data.synthetic_two_class(16, seed=1).subset(np.arange(0))
+    with pytest.raises(ValueError, match="empty dataset"):
+        harness.evaluate(spec, params, empty, 8)
+
+
+def test_cli_lets_a_program_bug_propagate(monkeypatch):
+    """Only bad settings and unusable files exit 2; a TypeError from inside
+    training is a bug, not a config error."""
+    def fail(config, verbose=False):
+        raise TypeError("a bug")
+
+    monkeypatch.setattr(harness, "train", fail)
+    with pytest.raises(TypeError, match="a bug"):
+        cli.main(["train", "--dataset", "synthetic", "--epochs", "1"])
+
+
 def test_cli_missing_data_exit_code(monkeypatch, capsys):
     monkeypatch.delenv(harness.DATA_ROOT_ENV, raising=False)
     code = cli.main(["train", "--dataset", "mnist_digits"])
