@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 divergence,
 
 import argparse
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -131,8 +132,11 @@ def cmd_poolcheck(args) -> int:
     for (h_in, target), p in sweep.items():
         flag = "DEVIATES" if p.out_h != target else ""
         print(f"{h_in:>4} {target:>7} {p.window_h:>7} {p.stride_h:>7} {p.out_h:>5}  {flag}")
-    deviating = sum(p.out_h != target for (_, target), p in sweep.items())
-    print(f"{len(sweep)} cases, {deviating} deviate from the requested size")
+    deltas = Counter(p.out_h - target for (_, target), p in sweep.items() if p.out_h != target)
+    print("deviation histogram (achieved - requested):")
+    for delta in sorted(deltas):
+        print(f"  {delta:+3d}: {deltas[delta]} cases")
+    print(f"{len(sweep)} cases, {deltas.total()} deviate from the requested size")
     return EXIT_OK
 
 

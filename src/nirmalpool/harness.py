@@ -186,6 +186,8 @@ def evaluate(spec: nn.ModelSpec, params: dict, dataset: datasets.Dataset,
     """Mean loss and accuracy over a dataset, which must not be empty."""
     if not len(dataset):
         raise ValueError("cannot evaluate an empty dataset")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     total_loss = 0.0
     correct = 0
     for start in range(0, len(dataset), batch_size):

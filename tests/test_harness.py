@@ -287,6 +287,19 @@ def test_cli_poolcheck(capsys):
     out = capsys.readouterr().out
     assert "DEVIATES" in out
     assert "900 cases" in out
+    histogram = out.split("deviation histogram (achieved - requested):\n")[1].splitlines()[:-1]
+    deviating = int(out.splitlines()[-1].split()[2])
+    assert deviating == out.count("DEVIATES")
+    assert sum(int(line.split()[1]) for line in histogram) == deviating
+
+
+def test_cli_poolcheck_default_histogram(capsys):
+    assert cli.main(["poolcheck"]) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    histogram = lines[lines.index("deviation histogram (achieved - requested):") + 1:-1]
+    assert len(histogram) == 93
+    assert {"  -63: 1 cases", "   +1: 203 cases", "  +30: 2 cases"} <= set(histogram)
+    assert lines[-1] == "4096 cases, 3364 deviate from the requested size"
 
 
 @pytest.mark.parametrize("max_dim", ["0", "-3"])
@@ -654,6 +667,15 @@ def test_evaluate_rejects_an_empty_dataset():
     empty = data.synthetic_two_class(16, seed=1).subset(np.arange(0))
     with pytest.raises(ValueError, match="empty dataset"):
         harness.evaluate(spec, params, empty, 8)
+
+
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_evaluate_rejects_a_batch_size_below_one(batch_size):
+    spec = nn.ModelSpec()
+    params = nn.init_params(spec, (1, 8, 8, 1), seed=0)
+    dataset = data.synthetic_two_class(16, seed=1)
+    with pytest.raises(ValueError, match=f"batch_size must be >= 1, got {batch_size}"):
+        harness.evaluate(spec, params, dataset, batch_size)
 
 
 def test_cli_lets_a_program_bug_propagate(monkeypatch):
