@@ -118,9 +118,22 @@ def cmd_compare(args) -> int:
         harness.write_report(report, config.output_dir)
     print(harness.comparison_table(reports))
     shape = (1, *harness.DATASETS[config.dataset])
-    specs = [harness.build_model_spec(replace(config, pooling_variant=v)) for v in nn.VARIANTS]
-    # Each variant's pools (window, stride, output size) and fused ReLUs, stage by stage.
-    if len({tuple((s.pool, s.relu) for s in nn.plan(spec, shape)) for spec in specs}) == 1:
+    plans = {v: nn.plan(harness.build_model_spec(replace(config, pooling_variant=v)), shape)
+             for v in nn.VARIANTS}
+    # Each variant's pool (window, stride, output size) and fused ReLU, stage
+    # by stage; both rows of a stage where the variants differ are marked.
+    print(f"{'stage':>5} {'variant':<8} {'window':>7} {'stride':>7} {'out':>7} {'relu':>5}")
+    same = True
+    for idx, stages in enumerate(zip(*plans.values()), start=1):
+        differs = len({(s.pool, s.relu) for s in stages}) > 1
+        same = same and not differs
+        for variant, s in zip(plans, stages):
+            p = s.pool
+            line = (f"{idx:>5} {variant:<8} {f'{p.window_h}x{p.window_w}':>7} "
+                    f"{f'{p.stride_h}x{p.stride_w}':>7} {f'{p.out_h}x{p.out_w}':>7} "
+                    f"{'yes' if s.relu else 'no':>5}")
+            print(f"{line}  differs" if differs else line)
+    if same:
         print("both variants build the same network: the same pool windows, strides, "
               "output sizes and fused ReLUs at every stage")
     return EXIT_OK

@@ -29,7 +29,7 @@ over the images it is given.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -212,9 +212,9 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class Stage:
-    """One conv stage's geometry, fixed by the spec and the input shape."""
+    """One conv stage's geometry, fixed by the spec and the input shape. The
+    conv reads its pool's footprint plus KERNEL_SIZE - 1 input rows and cols."""
 
-    reads: tuple[int, int]  # input rows and cols the conv reads: pool footprint + KERNEL_SIZE - 1
     pool: pooling.PoolParams
     target: tuple[int, int] | None  # the adaptive pool's (th, tw); None for the fixed 2x2 pool
     relu: bool  # a ReLU is fused after the pool
@@ -237,8 +237,7 @@ def plan(spec: ModelSpec, input_shape: tuple[int, int, int, int]) -> tuple[Stage
         else:
             target = target or (max(1, h // 2), max(1, w // 2))
             relu, pool = True, pooling.compute_pool_params(h, w, *target)
-        rows, cols = pool.footprint
-        stages.append(Stage((rows + KERNEL_SIZE - 1, cols + KERNEL_SIZE - 1), pool, target, relu))
+        stages.append(Stage(pool, target, relu))
         h, w = pool.out_h, pool.out_w
     return tuple(stages)
 
@@ -263,15 +262,15 @@ def init_params(spec: ModelSpec, input_shape: tuple[int, int, int, int],
     return params
 
 
-@dataclass
+@dataclass(frozen=True)
 class ForwardCache:
     # Each conv stage's whole input, also where the conv read only part of it.
-    conv_inputs: list[np.ndarray] = field(default_factory=list)
-    pool_caches: list[pooling.PoolCache] = field(default_factory=list)
-    flat_input_shape: tuple[int, ...] | None = None
-    dense_inputs: list[np.ndarray] = field(default_factory=list)
+    conv_inputs: list[np.ndarray]
+    pool_caches: list[pooling.PoolCache]
+    flat_input_shape: tuple[int, ...]
+    dense_inputs: list[np.ndarray]
     # The micro-batches of images the conv stages ran on, in order.
-    micro_batches: list[slice] = field(default_factory=list)
+    micro_batches: list[slice]
 
 
 def model_forward(spec: ModelSpec, params: dict[str, np.ndarray],
@@ -291,33 +290,29 @@ def model_forward(spec: ModelSpec, params: dict[str, np.ndarray],
                      for s, filters, c_in in zip(stages, spec.conv_filters,
                                                  (batch.shape[3], *spec.conv_filters))],
                     default=0)
-    cache = ForwardCache(micro_batches=_image_slices(b, per_image * batch.itemsize,
-                                                     MICRO_BATCH_BYTES))
-    maps = [batch]  # each stage's input, then the last stage's pooled output
-    for images in cache.micro_batches:
+    micro_batches = _image_slices(b, per_image * batch.itemsize, MICRO_BATCH_BYTES)
+    maps, pool_caches = [batch], []  # maps: each stage's input, then the last pooled output
+    for images in micro_batches:
         for idx, stage in enumerate(stages, start=1):
-            rows, cols = stage.reads
+            rows, cols = (n + KERNEL_SIZE - 1 for n in stage.pool.footprint)
             x = conv2d_forward(maps[idx - 1][images, :rows, :cols],
                                params[f"conv{idx}_w"], params[f"conv{idx}_b"])
             x, pc = (pooling.nirmal_forward(x, *stage.target) if stage.target is not None
                      else pooling.max_pool2x2_forward(x, relu=stage.relu))
             if images.start == 0:
                 maps.append(np.empty((b, *x.shape[1:]), x.dtype))
-                cache.pool_caches.append(pooling.PoolCache(
-                    np.empty((b, *pc.win.shape[1:]), pc.win.dtype), pc.params,
-                    pc.input_hw, None if pc.relu_out is None else maps[-1]))
+                pool_caches.append(replace(pc, win=np.empty((b, *pc.win.shape[1:]), pc.win.dtype),
+                                           relu_out=None if pc.relu_out is None else maps[-1]))
             maps[idx][images] = x
-            cache.pool_caches[idx - 1].win[images] = pc.win
-    cache.conv_inputs = maps[:-1]
-    cache.flat_input_shape = maps[-1].shape
+            pool_caches[idx - 1].win[images] = pc.win
     x = maps[-1].reshape(b, math.prod(maps[-1].shape[1:]))
-    last = len(spec.dense_units)
+    dense_inputs, last = [], len(spec.dense_units)
     for idx in range(1, last + 1):
-        cache.dense_inputs.append(x)
+        dense_inputs.append(x)
         x = dense_forward(x, params[f"dense{idx}_w"], params[f"dense{idx}_b"])
         if idx < last:
             x = pooling._relu(x)  # the pool's ReLU, in place on dense_forward's fresh output
-    return x, cache
+    return x, ForwardCache(maps[:-1], pool_caches, maps[-1].shape, dense_inputs, micro_batches)
 
 
 def model_backward(spec: ModelSpec, params: dict[str, np.ndarray], cache: ForwardCache,

@@ -261,18 +261,28 @@ def test_cli_compare_table(tmp_path, capsys):
     assert "nirmal" in out and "max2x2" in out
     # On 8x8 images the halving target pools 6 -> 3 with 2x2 windows at stride 2.
     assert "both variants build the same network" in out
+    assert "differs" not in out
     with open(tmp_path / "results.csv") as f:
         rows = list(csv.reader(f))
     assert len(rows) == 3
 
 
-@pytest.mark.parametrize("args", [
-    ["--dataset", "mnist_digits"],
-    ["--dataset", "synthetic", "--activation-placement", "pool_only"],
+@pytest.mark.parametrize("args, stage_rows", [
+    (["--dataset", "mnist_digits"], [
+        "1 max2x2 2x2 2x2 13x13 yes",
+        "1 nirmal 2x2 2x2 13x13 yes",
+        "2 max2x2 2x2 2x2 5x5 yes differs",
+        "2 nirmal 3x3 2x2 5x5 yes differs"]),
+    (["--dataset", "synthetic", "--activation-placement", "pool_only"], [
+        "1 max2x2 2x2 2x2 3x3 no differs",
+        "1 nirmal 2x2 2x2 3x3 yes differs"]),
 ], ids=["mnist_stage2", "synthetic_pool_only"])
-def test_cli_compare_is_silent_when_the_variants_differ(tmp_path, capsys, monkeypatch, args):
+def test_cli_compare_is_silent_when_the_variants_differ(tmp_path, capsys, monkeypatch, args,
+                                                        stage_rows):
     """nirmal pools MNIST's 11 -> 5 with 3x3 windows, max2x2 with 2x2; under
-    pool_only max2x2 fuses no ReLU. Training is stubbed: no data is read."""
+    pool_only max2x2 fuses no ReLU. The per-stage table after the comparison
+    marks both rows of each stage that differs, and the same-network line is
+    not printed. Training is stubbed: no data is read."""
     monkeypatch.setattr(harness, "train", lambda config, verbose=False: harness.RunReport(
         config.dataset, config.pooling_variant, config.seed, config.fingerprint(), [],
         1.0, 0.5, 0.0))
@@ -280,6 +290,9 @@ def test_cli_compare_is_silent_when_the_variants_differ(tmp_path, capsys, monkey
     out = capsys.readouterr().out
     assert "nirmal" in out and "max2x2" in out
     assert "same network" not in out
+    lines = out.splitlines()
+    header = lines.index("stage variant   window  stride     out  relu")
+    assert [" ".join(line.split()) for line in lines[header + 1:]] == stage_rows
 
 
 def test_cli_poolcheck(capsys):

@@ -494,19 +494,24 @@ def test_cropped_convs_are_the_uncropped_network(monkeypatch, record, spec, shap
     plan = nn.plan
 
     def whole_inputs(spec, input_shape):
-        stages, hw = [], tuple(input_shape[1:3])
+        stages, (h, w) = [], input_shape[1:3]
         for stage in plan(spec, input_shape):
-            stages.append(dataclasses.replace(stage, reads=hw))
-            hw = (stage.pool.out_h, stage.pool.out_w)
+            conv_h, conv_w = h - nn.KERNEL_SIZE + 1, w - nn.KERNEL_SIZE + 1
+            whole = pooling.PoolParams(conv_h, conv_w, 1, 1, 1, 1)  # one window, all of it
+            stages.append(dataclasses.replace(stage, pool=whole))
+            h, w = stage.pool.out_h, stage.pool.out_w
         return tuple(stages)
 
     with monkeypatch.context() as mp:
-        # The reference convolves every stage's whole input; the pool drops
-        # the rows and columns its windows miss.
+        # The reference's stages have footprints as large as each conv's
+        # output, so it convolves every stage's whole input; the pool
+        # wrappers derive their own windows and drop the rows and columns
+        # those miss.
         mp.setattr(nn, "plan", whole_inputs)
         ref_logits, ref_cache, ref_grads, ref_pool_grads = _run_model(
             record, spec, params, batch, labels)
 
+    assert cache.micro_batches == ref_cache.micro_batches == [slice(0, shape[0])]
     assert logits.tobytes() == ref_logits.tobytes()
     assert cache.conv_inputs[0] is batch
     for got, want in zip(cache.conv_inputs, ref_cache.conv_inputs):
@@ -615,6 +620,20 @@ def test_micro_batches_are_the_whole_batch_network(monkeypatch, record, spec, sh
         _assert_close(grads[key], ref_grads[key], 1e-12)
 
 
+def test_forward_records_hold_only_what_they_decide():
+    """A Stage holds what `plan` decides. A ForwardCache comes whole from
+    model_forward, and no field of it can be rebound before backward."""
+    assert tuple(f.name for f in dataclasses.fields(nn.Stage)) == ("pool", "target", "relu")
+    with pytest.raises(TypeError):
+        nn.ForwardCache()
+    spec = nn.ModelSpec()
+    params = nn.init_params(spec, (2, 28, 28, 1), seed=0)
+    _, cache = nn.model_forward(spec, params, np.zeros((2, 28, 28, 1)))
+    for f in dataclasses.fields(cache):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cache, f.name, getattr(cache, f.name))
+
+
 @pytest.mark.parametrize("placement", nn.PLACEMENTS)
 @pytest.mark.parametrize("variant", nn.VARIANTS)
 def test_empty_batch_forward_runs_every_stage(record, variant, placement):
@@ -664,21 +683,24 @@ def test_training_step_builds_no_full_batch_conv_output():
 
 
 # The benchmark's three steps: training at MNIST shape (halving) and at CIFAR
-# shape (overlapping targets), and a max2x2 eval forward.
+# shape (overlapping targets), and a max2x2 eval forward; with the images per
+# micro-batch that MICRO_BATCH_BYTES was tuned on, so a batch of 64 ends in a
+# 1-image micro-batch.
 CONV_CALL_CASES = [
-    pytest.param(nn.ModelSpec(), (64, 28, 28, 1), True, id="mnist_train"),
+    pytest.param(nn.ModelSpec(), (64, 28, 28, 1), True, [7] * 9 + [1], id="mnist_train"),
     pytest.param(nn.ModelSpec(activation_placement="after_conv", pool_targets=((14, 14), (5, 5))),
-                 (64, 32, 32, 3), True, id="cifar_train_overlap"),
-    pytest.param(nn.ModelSpec(pooling_variant="max2x2"), (64, 28, 28, 1), False,
+                 (64, 32, 32, 3), True, [7] * 9 + [1], id="cifar_train_overlap"),
+    pytest.param(nn.ModelSpec(pooling_variant="max2x2"), (64, 28, 28, 1), False, [9] * 7 + [1],
                  id="mnist_eval"),
 ]
 
 
-@pytest.mark.parametrize("spec, shape, train", CONV_CALL_CASES)
-def test_every_conv_call_fits_the_micro_batch_budget(record, spec, shape, train):
+@pytest.mark.parametrize("spec, shape, train, sizes", CONV_CALL_CASES)
+def test_every_conv_call_fits_the_micro_batch_budget(record, spec, shape, train, sizes):
     """Each conv2d_forward and conv2d_backward call's im2col matrix, ones
     column included, and its conv output or conv-output gradient fit in
-    MICRO_BATCH_BYTES; every stage still sees every image once each way."""
+    MICRO_BATCH_BYTES; every stage still sees every image once each way, in
+    micro-batches of the sizes the budget was tuned on."""
     rng = np.random.default_rng(25)
     params = nn.init_params(spec, shape, seed=25)
     batch, labels = rng.uniform(size=shape), rng.integers(0, 10, shape[0])
@@ -688,7 +710,7 @@ def test_every_conv_call_fits_the_micro_batch_budget(record, spec, shape, train)
         _, grad_logits = nn.softmax_cross_entropy(logits, labels)
         nn.model_backward(spec, params, cache, grad_logits)
 
-    assert len(cache.micro_batches) > 1
+    assert [s.stop - s.start for s in cache.micro_batches] == sizes
     for c in calls:
         x, kernels = c.args["x"], c.args["kernels"]
         out = c.result if c.name == "conv2d_forward" else c.args["grad_out"]
