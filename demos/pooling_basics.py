@@ -18,23 +18,18 @@ for h_in, target in [(28, 14), (28, 10), (32, 8), (4, 8)]:
     print(f"input {h_in:>2} target {target:>2} -> window {p.window_h}, "
           f"stride {p.stride_h}, output {p.out_h}{note}")
 
-# Forward pass on a small plane
+# Forward pass on a small plane; its bottom-left 2x2 window is all-negative
 print("\n== forward pass ==")
 x = np.array([[1, 2, 3, 4],
               [5, 6, 7, 8],
               [-1, -2, -3, -4],
-              [0, 1, 2, 3]], dtype=float).reshape(1, 4, 4, 1)
+              [-4, -3, 2, 3]], dtype=float).reshape(1, 4, 4, 1)
 out, cache = nirmal_forward(x, 2, 2)
 print("input plane:\n", x[0, :, :, 0])
-print("pooled + ReLU (target 2x2):\n", out[0, :, :, 0])
+print("pooled + ReLU (target 2x2), the all-negative window clamped to 0:\n", out[0, :, :, 0])
 
 baseline, _ = max_pool2x2_forward(x)
 print("plain 2x2 max pool (negatives survive):\n", baseline[0, :, :, 0])
-
-# A window full of negatives is clamped to zero by the fused activation
-neg = np.full((1, 2, 2, 1), -5.0)
-clamped, _ = nirmal_forward(neg, 1, 1)
-print("all-negative window pools to:", clamped[0, 0, 0, 0])
 
 # Backward pass: each output gradient lands on its window's argmax,
 # and outputs whose max was clamped contribute nothing.

@@ -70,7 +70,11 @@ class RunConfig:
         for key, low, unset in (("epochs", 0, ""), ("batch_size", 1, ""), ("seed", 0, ""),
                                 ("train_limit", 1, " or unset"), ("test_limit", 1, " or unset")):
             value = getattr(self, key)
-            if not (unset and value is None) and value < low:
+            if unset and value is None:
+                continue
+            if type(value) is not int:  # a float or bool count would run, or fail, after loading
+                raise ValueError(f"{key} must be an int{unset}, got {value!r}")
+            if value < low:
                 raise ValueError(f"{key} must be >= {low}{unset}, got {value}")
         if not 0.0 < self.val_fraction < 1.0:
             raise ValueError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
@@ -181,6 +185,28 @@ def build_model_spec(config: RunConfig, input_hw: tuple[int, int] | None = None)
                         pool_targets=config.pool_targets or (), **widths)
 
 
+def train_step(spec: nn.ModelSpec, params: dict, state: optim.AdamState, images: np.ndarray,
+               labels: np.ndarray) -> tuple[dict, float, int]:
+    """One training step on a batch: forward, loss, backward and Adam.
+    Returns the new parameters, the batch's mean loss and its number of
+    correct predictions. A non-finite loss skips backward and Adam, and
+    returns the parameters unchanged."""
+    logits, cache = nn.model_forward(spec, params, images)
+    loss, grad_logits = nn.softmax_cross_entropy(logits, labels)
+    if np.isfinite(loss):
+        grads = nn.model_backward(spec, params, cache, grad_logits)
+        params = optim.adam_step(params, grads, state)
+    return params, loss, int((logits.argmax(axis=1) == labels).sum())
+
+
+def eval_batch(spec: nn.ModelSpec, params: dict, images: np.ndarray,
+               labels: np.ndarray) -> tuple[float, int]:
+    """A batch's mean loss and its number of correct predictions."""
+    logits, _ = nn.model_forward(spec, params, images)
+    loss, _ = nn.softmax_cross_entropy(logits, labels)
+    return loss, int((logits.argmax(axis=1) == labels).sum())
+
+
 def evaluate(spec: nn.ModelSpec, params: dict, dataset: datasets.Dataset,
              batch_size: int) -> tuple[float, float]:
     """Mean loss and accuracy over a dataset, which must not be empty."""
@@ -193,10 +219,9 @@ def evaluate(spec: nn.ModelSpec, params: dict, dataset: datasets.Dataset,
     for start in range(0, len(dataset), batch_size):
         images = dataset.images[start:start + batch_size]
         labels = dataset.labels[start:start + batch_size]
-        logits, _ = nn.model_forward(spec, params, images)
-        loss, _ = nn.softmax_cross_entropy(logits, labels)
+        loss, batch_correct = eval_batch(spec, params, images, labels)
         total_loss += loss * len(labels)
-        correct += int((logits.argmax(axis=1) == labels).sum())
+        correct += batch_correct
     return total_loss / len(dataset), correct / len(dataset)
 
 
@@ -224,14 +249,11 @@ def train(config: RunConfig, verbose: bool = False) -> RunReport:
         running_correct = 0
         for images, labels in datasets.batches(split.train, config.batch_size,
                                                config.seed, epoch):
-            logits, cache = nn.model_forward(spec, params, images)
-            loss, grad_logits = nn.softmax_cross_entropy(logits, labels)
+            params, loss, correct = train_step(spec, params, state, images, labels)
             if not np.isfinite(loss):
                 raise DivergenceError(epoch)
-            grads = nn.model_backward(spec, params, cache, grad_logits)
-            params = optim.adam_step(params, grads, state)
             running_loss += loss * len(labels)
-            running_correct += int((logits.argmax(axis=1) == labels).sum())
+            running_correct += correct
         val_loss, val_acc = evaluate(spec, params, split.val, config.batch_size)
         if not np.isfinite(val_loss):
             raise DivergenceError(epoch)

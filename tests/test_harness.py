@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from nirmalpool import cli, data, gradcheck, harness, nn, pooling
+from nirmalpool import cli, data, gradcheck, harness, nn, optim, pooling
 
 LOAD_DATASET_PAIR = harness.load_dataset_pair
 
@@ -185,6 +185,53 @@ def test_divergence_error_names_epoch(monkeypatch):
         harness.train(synth_config(epochs=1, batch_size=64))
     assert exc_info.value.epoch == 0
     assert "epoch 0" in str(exc_info.value)
+
+
+def test_train_and_evaluate_take_one_step_call_per_batch(record):
+    """train's loop is one train_step call per training batch, threading the
+    parameters, and evaluate's one eval_batch call per batch; neither calls
+    a layer or Adam itself."""
+    calls = record(harness, "train_step", "eval_batch")
+    harness.train(synth_config(epochs=2, batch_size=50, train_limit=120, test_limit=30))
+    # 120 images split into 108 to train (batches of 50, 50, 8) and 12 to validate.
+    assert [(c.name, len(c.args["labels"])) for c in calls] == [
+        *[("train_step", 50), ("train_step", 50), ("train_step", 8), ("eval_batch", 12)] * 2,
+        ("eval_batch", 30)]
+    steps = [c for c in calls if c.name == "train_step"]
+    for before, after in zip(steps, steps[1:]):
+        assert after.args["params"] is before.result[0]
+    assert len({id(c.args["state"]) for c in steps}) == 1
+
+    calls.clear()
+    spec, dataset = steps[-1].args["spec"], data.synthetic_two_class(30, seed=3)
+    params = steps[-1].result[0]
+    loss, accuracy = harness.evaluate(spec, params, dataset, 7)
+    assert [len(c.args["labels"]) for c in calls] == [7, 7, 7, 7, 2]
+    assert loss == sum(c.result[0] * len(c.args["labels"]) for c in calls) / 30
+    assert accuracy == sum(c.result[1] for c in calls) / 30
+
+    step_functions = {"model_forward", "softmax_cross_entropy", "model_backward", "adam_step"}
+    for fn in (harness.train, harness.evaluate):
+        assert not step_functions & set(fn.__code__.co_names), fn.__name__
+
+
+def test_train_step_on_a_non_finite_loss_changes_nothing(monkeypatch, record):
+    """A NaN loss skips backward and Adam: the parameters come back as they
+    went in, and the Adam state has not stepped."""
+    spec = harness.build_model_spec(synth_config())
+    params = nn.init_params(spec, (1, 8, 8, 1), seed=0)
+    state = optim.init_adam(params)
+    before = {key: value.copy() for key, value in params.items()}
+    loss_of = nn.softmax_cross_entropy
+    monkeypatch.setattr(nn, "softmax_cross_entropy",
+                        lambda logits, labels: (float("nan"), loss_of(logits, labels)[1]))
+    backward, adam = record(nn, "model_backward"), record(optim, "adam_step")
+    batch = data.synthetic_two_class(16, seed=0)
+    new_params, loss, correct = harness.train_step(spec, params, state, batch.images[:],
+                                                   batch.labels)
+    assert np.isnan(loss) and 0 <= correct <= 16
+    assert new_params is params and not backward and not adam and state.step == 0
+    assert all((params[key] == before[key]).all() for key in params)
 
 
 def test_synthetic_splits_are_byte_images():
@@ -672,6 +719,16 @@ def test_run_config_is_frozen_and_checked_on_replace():
         config.epochs = 3
     with pytest.raises(ValueError, match="batch_size must be >= 1, got 0"):
         dataclasses.replace(config, batch_size=0)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("epochs", 1.5), ("epochs", True), ("batch_size", 16.0), ("seed", 1.0), ("seed", False),
+    ("train_limit", 100.0), ("test_limit", 10.0), ("test_limit", "10")])
+def test_run_config_rejects_a_count_that_is_not_an_int(key, value):
+    """A float or bool count is refused when the config is built, not after
+    its data is loaded; a bool would train under a fingerprint of its own."""
+    with pytest.raises(ValueError, match=f"^{key} must be an int"):
+        harness.RunConfig(dataset="synthetic", **{key: value})
 
 
 def test_evaluate_rejects_an_empty_dataset():

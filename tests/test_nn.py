@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from nirmalpool import gradcheck, nn, optim, pooling
+from nirmalpool import gradcheck, harness, nn, optim, pooling
 
 import oracles
 
@@ -673,9 +673,7 @@ def test_training_step_builds_no_full_batch_conv_output():
     assert conv1_output == 13_778_944
     tracemalloc.start()
     try:
-        logits, cache = nn.model_forward(spec, params, batch)
-        _, grad_logits = nn.softmax_cross_entropy(logits, labels)
-        optim.adam_step(params, nn.model_backward(spec, params, cache, grad_logits), state)
+        harness.train_step(spec, params, state, batch, labels)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1,3 +1,6 @@
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +14,21 @@ PLANE_4X4 = np.array([[1, 2, 3, 4],
                       [5, 6, 7, 8],
                       [-1, -2, -3, -4],
                       [0, 1, 2, 3]], dtype=float).reshape(1, 4, 4, 1)
+
+
+def test_demo_shows_a_clamped_window(capsys):
+    """demos/pooling_basics.py pools a plane with an all-negative window: the
+    plain pool keeps its negative max, the fused pool prints 0 there, and the
+    window's inputs get no gradient."""
+    demo = runpy.run_path(str(Path(__file__).parents[1] / "demos" / "pooling_basics.py"))
+    assert "negatives survive" in capsys.readouterr().out
+    out, plain, grad_in, p = (demo["out"][0, ..., 0], demo["baseline"][0, ..., 0],
+                              demo["grad_in"][0, ..., 0], demo["cache"].params)
+    [(i, j)] = np.argwhere(plain < 0)
+    assert out[i, j] == 0.0
+    rows = slice(i * p.stride_h, i * p.stride_h + p.window_h)
+    cols = slice(j * p.stride_w, j * p.stride_w + p.window_w)
+    assert (demo["x"][0, rows, cols, 0] < 0).all() and (grad_in[rows, cols] == 0).all()
 
 
 def test_compute_pool_params_worked_cases():
