@@ -10,7 +10,8 @@ Every dataset, loaded or the built-in synthetic set, keeps its images as
 uint8 bytes (`ByteImages`) and normalizes only what is read: each read
 divides the bytes read by 255 into a fresh float64 array. So the full MNIST
 protocol's 70k images take 55 MB, not 439 MB as float64, and CIFAR-10's 60k
-take 184 MB, not 1.47 GB; a split or subset copies bytes, not floats.
+take 184 MB, not 1.47 GB; a split or subset copies bytes, not floats. The
+CIFAR-10 loader holds one file's bytes at a time next to the images.
 """
 
 import math
@@ -143,35 +144,33 @@ def load_mnist(paths: Sequence) -> Dataset:
 
 
 def load_cifar10(paths: Sequence) -> Dataset:
-    """Decode CIFAR-10 binary batch files into a dataset of byte images.
-
-    Every file is checked first; then each file's pixels are copied,
-    interleaved, into its rows of one uint8 array, one colour plane at a
-    time."""
-    files = []
-    for path in paths:
-        data = Path(path).read_bytes()
-        if len(data) % CIFAR_RECORD_BYTES != 0:
-            raise FormatError(f"{path}: size {len(data)} not a multiple of {CIFAR_RECORD_BYTES}")
-        records = np.frombuffer(data, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
-        batch_labels = records[:, 0]
-        if len(batch_labels) and batch_labels.max() > 9:
-            raise FormatError(f"{path}: label out of range: {batch_labels.max()}")
-        files.append(records)
-    n = sum(len(records) for records in files)
+    """Decode CIFAR-10 binary batch files into a dataset of byte images: one
+    uint8 array sized by the files' sizes on disk, then per file in turn a
+    read, its checks and a copy of its pixels, interleaved, into its rows, one
+    colour plane at a time. One file's bytes are held at a time."""
+    files = [(path, Path(path).stat().st_size) for path in paths]
+    n = sum(size // CIFAR_RECORD_BYTES for _, size in files)
     images, labels = np.empty((n, 32, 32, 3), np.uint8), np.empty(n, np.int64)
     start = 0
-    for records in files:
+    for path, size in files:
+        records = np.frombuffer(Path(path).read_bytes(), dtype=np.uint8)
+        if len(records) != size:
+            raise FormatError(f"{path}: size {len(records)}, but {size} when the load began")
+        if size % CIFAR_RECORD_BYTES != 0:
+            raise FormatError(f"{path}: size {size} not a multiple of {CIFAR_RECORD_BYTES}")
+        records = records.reshape(-1, CIFAR_RECORD_BYTES)
         rows = slice(start, start + len(records))
         labels[rows] = records[:, 0]
-        # channel-planar (3, 1024) -> interleaved (1024, 3): a copy per plane
-        # runs 1024 pixels in its inner loop, where a copy of the transposed
-        # view would run 3
+        if len(records) and labels[rows].max() > 9:
+            raise FormatError(f"{path}: label out of range: {labels[rows].max()}")
+        # channel-planar (3, 1024) -> interleaved (1024, 3): a copy per plane runs
+        # 1024 pixels in its inner loop, where one of the transposed view runs 3
         planes = records[:, 1:].reshape(-1, 3, 1024)
         pixels = images[rows].reshape(-1, 1024, 3)
         for c in range(3):
             pixels[..., c] = planes[:, c]
         start = rows.stop
+        del records, planes  # this file's bytes, before the next file is read
     return Dataset(ByteImages(images), labels)
 
 

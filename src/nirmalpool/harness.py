@@ -76,6 +76,11 @@ class RunConfig:
                 raise ValueError(f"{key} must be an int{unset}, got {value!r}")
             if value < low:
                 raise ValueError(f"{key} must be >= {low}{unset}, got {value}")
+        for key in ("val_fraction", "lr", "beta1", "beta2", "epsilon"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{key} must be an int or a float, got {value!r}")
+            object.__setattr__(self, key, float(value))  # lr=1 and lr=1.0: one fingerprint
         if not 0.0 < self.val_fraction < 1.0:
             raise ValueError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
         optim.check_settings(self.lr, self.beta1, self.beta2, self.epsilon)
@@ -178,7 +183,9 @@ def load_dataset_pair(config: RunConfig) -> tuple[datasets.Dataset, datasets.Dat
 
 def build_model_spec(config: RunConfig, input_hw: tuple[int, int] | None = None) -> nn.ModelSpec:
     """The paper's network, `nn.ModelSpec`'s default widths; a compact variant
-    for the synthetic toy set, where 8x8 inputs cannot feed two pooling stages."""
+    for the synthetic toy set, where 8x8 inputs cannot feed two pooling stages.
+    `input_hw` is unused: it is kept only because `benchmarks/workloads.py`
+    passes it."""
     widths = dict(conv_filters=(8,), dense_units=(32, 2)) if config.dataset == "synthetic" else {}
     return nn.ModelSpec(pooling_variant=config.pooling_variant,
                         activation_placement=config.activation_placement,

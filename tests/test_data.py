@@ -1,6 +1,7 @@
 import math
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -210,6 +211,83 @@ def test_cifar_bad_label_rejected(tmp_path):
     path.write_bytes(make_cifar_record(10))
     with pytest.raises(ValueError):
         data.load_cifar10([path])
+
+
+def write_cifar_files(tmp_path, n_files, n_records, seed=0):
+    """`n_files` seeded batch files of `n_records` records each, every label in 0-9."""
+    rng = np.random.default_rng(seed)
+    paths = []
+    for i in range(n_files):
+        records = rng.integers(0, 256, size=(n_records, data.CIFAR_RECORD_BYTES), dtype=np.uint8)
+        records[:, 0] %= 10
+        paths.append(tmp_path / f"data_batch_{i + 1}.bin")
+        paths[-1].write_bytes(records.tobytes())
+    return paths
+
+
+def test_cifar_load_holds_one_file_at_a_time(tmp_path):
+    """The load's allocation peak is the images plus one file's bytes, not
+    plus every file's: each file is let go before the next is read."""
+    paths = write_cifar_files(tmp_path, n_files=5, n_records=400)
+    tracemalloc.start()
+    try:
+        ds = data.load_cifar10(paths)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    file_bytes = 400 * data.CIFAR_RECORD_BYTES
+    assert len(ds) == 2000
+    assert peak < ds.images.raw.nbytes + 1.5 * file_bytes
+
+
+def test_cifar_first_bad_file_in_path_order_is_reported(tmp_path):
+    """Files are checked in path order, so a bad label in file 2 is reported
+    ahead of a bad size in file 4."""
+    paths = write_cifar_files(tmp_path, n_files=5, n_records=300)
+    raw = bytearray(paths[1].read_bytes())
+    raw[5 * data.CIFAR_RECORD_BYTES] = 10
+    paths[1].write_bytes(bytes(raw))
+    paths[3].write_bytes(paths[3].read_bytes()[:-1])
+    with pytest.raises(data.FormatError, match=r"data_batch_2\.bin: label out of range: 10"):
+        data.load_cifar10(paths)
+    with pytest.raises(data.FormatError,
+                       match=rf"data_batch_4\.bin: size {300 * data.CIFAR_RECORD_BYTES - 1} "
+                             rf"not a multiple of {data.CIFAR_RECORD_BYTES}"):
+        data.load_cifar10(paths[2:])
+
+
+def test_cifar_missing_file_or_directory_in_its_place_raises_os_error(tmp_path):
+    paths = write_cifar_files(tmp_path, n_files=5, n_records=300)
+    paths[2].unlink()
+    with pytest.raises(FileNotFoundError) as exc_info:
+        data.load_cifar10(paths)
+    assert exc_info.value.filename == str(paths[2])
+    paths[2].mkdir()
+    with pytest.raises(OSError) as exc_info:
+        data.load_cifar10(paths)
+    assert exc_info.value.filename == str(paths[2])
+
+
+@pytest.mark.parametrize("change", [1, -1])
+def test_cifar_file_whose_length_changed_since_its_stat_is_rejected(tmp_path, monkeypatch,
+                                                                    change):
+    """A file that grows or shrinks by whole records after the load began
+    would not fit the rows sized for it."""
+    paths = write_cifar_files(tmp_path, n_files=2, n_records=300)
+    read_bytes = Path.read_bytes
+
+    def resized(path):
+        raw = read_bytes(path)
+        if path.name == "data_batch_2.bin":
+            raw = raw + raw[:data.CIFAR_RECORD_BYTES] if change > 0 else raw[data.CIFAR_RECORD_BYTES:]
+        return raw
+
+    monkeypatch.setattr(Path, "read_bytes", resized)
+    size = 300 * data.CIFAR_RECORD_BYTES
+    with pytest.raises(data.FormatError,
+                       match=rf"data_batch_2\.bin: size {size + change * data.CIFAR_RECORD_BYTES}, "
+                             rf"but {size} when the load began"):
+        data.load_cifar10(paths)
 
 
 def test_idx_negative_dims_rejected(tmp_path):

@@ -731,6 +731,24 @@ def test_run_config_rejects_a_count_that_is_not_an_int(key, value):
         harness.RunConfig(dataset="synthetic", **{key: value})
 
 
+@pytest.mark.parametrize("key, value", [
+    ("lr", True), ("lr", "0.001"), ("beta1", False), ("beta2", None), ("epsilon", True),
+    ("val_fraction", "0.1"), ("val_fraction", True)])
+def test_run_config_rejects_a_float_setting_that_is_not_a_number(key, value):
+    """A bool would train under a value and fingerprint of its own, and a
+    string would fail inside the range checks with a TypeError."""
+    with pytest.raises(ValueError, match=f"^{key} must be an int or a float, got {value!r}$"):
+        harness.RunConfig(dataset="synthetic", **{key: value})
+
+
+def test_run_config_stores_an_int_float_setting_as_its_float():
+    """`lr=1` and `lr=1.0` are one run, so one fingerprint and one report name."""
+    as_int = harness.RunConfig(dataset="synthetic", lr=1, epsilon=1)
+    as_float = harness.RunConfig(dataset="synthetic", lr=1.0, epsilon=1.0)
+    assert type(as_int.lr) is float and type(as_int.epsilon) is float
+    assert as_int == as_float and as_int.fingerprint() == as_float.fingerprint()
+
+
 def test_evaluate_rejects_an_empty_dataset():
     spec = nn.ModelSpec()
     params = nn.init_params(spec, (1, 8, 8, 1), seed=0)
