@@ -80,7 +80,11 @@ class RunConfig:
             value = getattr(self, key)
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"{key} must be an int or a float, got {value!r}")
-            object.__setattr__(self, key, float(value))  # lr=1 and lr=1.0: one fingerprint
+            try:
+                object.__setattr__(self, key, float(value))  # lr=1 and lr=1.0: one fingerprint
+            except OverflowError:  # an int past the float range; its repr may be huge
+                raise ValueError(f"{key} must fit in a float, got an int of "
+                                 f"{value.bit_length()} bits") from None
         if not 0.0 < self.val_fraction < 1.0:
             raise ValueError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
         optim.check_settings(self.lr, self.beta1, self.beta2, self.epsilon)
@@ -232,9 +236,11 @@ def evaluate(spec: nn.ModelSpec, params: dict, dataset: datasets.Dataset,
     return total_loss / len(dataset), correct / len(dataset)
 
 
-def train(config: RunConfig, verbose: bool = False) -> RunReport:
-    """Train and evaluate a config, which checked its settings when it was built."""
-    start_time = time.time()
+def setup(config: RunConfig) -> tuple[datasets.Split, datasets.Dataset, nn.ModelSpec, dict,
+                                      optim.AdamState]:
+    """What a run of `config` builds before its first step: the train/val
+    split, the test set, the spec, the initial parameters and the Adam state.
+    An empty test set raises ValueError."""
     train_full, test_set = load_dataset_pair(config)
     if config.train_limit is not None:
         train_full = train_full.subset(np.arange(min(config.train_limit, len(train_full))))
@@ -249,7 +255,13 @@ def train(config: RunConfig, verbose: bool = False) -> RunReport:
     params = nn.init_params(spec, (1, *DATASETS[config.dataset]), seed=config.seed)
     state = optim.init_adam(params, lr=config.lr, beta1=config.beta1,
                             beta2=config.beta2, epsilon=config.epsilon)
+    return split, test_set, spec, params, state
 
+
+def train(config: RunConfig, verbose: bool = False) -> RunReport:
+    """Train and evaluate a config, which checked its settings when it was built."""
+    start_time = time.time()
+    split, test_set, spec, params, state = setup(config)
     epoch_metrics: list[EpochMetrics] = []
     for epoch in range(config.epochs):
         running_loss = 0.0

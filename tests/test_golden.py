@@ -15,7 +15,7 @@ bitwise.
 import numpy as np
 import pytest
 
-from nirmalpool import data, harness, nn, optim
+from nirmalpool import data, harness
 
 REL = 1e-10
 # 53 training images leave 48 = 3 batches of 16 after the 10% split.
@@ -153,12 +153,7 @@ def test_synthetic_compare_trace(tmp_path):
 
 def first_step(config):
     """The first training step of `harness.train` on `config`, after its set-up."""
-    train_set, _ = harness.load_dataset_pair(config)
-    split = data.split_train_val(train_set, config.val_fraction, config.seed)
-    spec = harness.build_model_spec(config)
-    params = nn.init_params(spec, (1, *harness.DATASETS[config.dataset]), seed=config.seed)
-    state = optim.init_adam(params, lr=config.lr, beta1=config.beta1,
-                            beta2=config.beta2, epsilon=config.epsilon)
+    split, _, spec, params, state = harness.setup(config)
     images, labels = next(data.batches(split.train, config.batch_size, config.seed, 0))
     return harness.train_step(spec, params, state, images, labels)
 

@@ -215,6 +215,24 @@ def test_train_and_evaluate_take_one_step_call_per_batch(record):
         assert not step_functions & set(fn.__code__.co_names), fn.__name__
 
 
+def test_train_sets_up_through_setup(record):
+    """train builds its run with one setup call, and its first train_step
+    takes the very parameters and Adam state that setup returned."""
+    config = synth_config(epochs=1, batch_size=50, train_limit=120, test_limit=30)
+    calls = record(harness, "setup", "train_step")
+    harness.train(config)
+    names = [c.name for c in calls]
+    assert names[:2] == ["setup", "train_step"] and names.count("setup") == 1
+    setup, first_step = calls[:2]
+    assert setup.args["config"] is config
+    split, test_set, spec, params, state = setup.result
+    assert first_step.args["spec"] is spec
+    assert first_step.args["params"] is params and first_step.args["state"] is state
+    assert len(split.train) == 108 and len(split.val) == 12 and len(test_set) == 30
+    set_up_by_setup = {"load_dataset_pair", "split_train_val", "init_params", "init_adam"}
+    assert not set_up_by_setup & set(harness.train.__code__.co_names)
+
+
 def test_train_step_on_a_non_finite_loss_changes_nothing(monkeypatch, record):
     """A NaN loss skips backward and Adam: the parameters come back as they
     went in, and the Adam state has not stepped."""
@@ -738,6 +756,15 @@ def test_run_config_rejects_a_float_setting_that_is_not_a_number(key, value):
     """A bool would train under a value and fingerprint of its own, and a
     string would fail inside the range checks with a TypeError."""
     with pytest.raises(ValueError, match=f"^{key} must be an int or a float, got {value!r}$"):
+        harness.RunConfig(dataset="synthetic", **{key: value})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("lr", 10**400), ("val_fraction", 10**400), ("beta1", 10**400), ("epsilon", -10**400)],
+    ids=["lr", "val_fraction", "beta1", "epsilon"])
+def test_run_config_rejects_an_int_float_setting_past_the_float_range(key, value):
+    """float() of such an int raises OverflowError; the config names the key."""
+    with pytest.raises(ValueError, match=f"^{key} must fit in a float, got an int of 1329 bits$"):
         harness.RunConfig(dataset="synthetic", **{key: value})
 
 
