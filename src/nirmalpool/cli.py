@@ -102,24 +102,27 @@ def build_config(args: argparse.Namespace) -> harness.RunConfig:
     return harness.RunConfig(**values)
 
 
-def cmd_train(args) -> int:
-    config = build_config(args)
+def _train_and_write(config: harness.RunConfig) -> harness.RunReport:
+    """Train one run, then write its report and CSV row before anything else runs."""
     report = harness.train(config, verbose=True)
     path = harness.write_report(report, config.output_dir)
     print(f"test loss {report.test_loss:.4f}  accuracy {report.test_accuracy:.4f}")
     print(f"report written to {path}")
+    return report
+
+
+def cmd_train(args) -> int:
+    _train_and_write(build_config(args))
     return EXIT_OK
 
 
 def cmd_compare(args) -> int:
     config = build_config(args)
-    reports = harness.compare(config, verbose=True)
-    for report in reports.values():
-        harness.write_report(report, config.output_dir)
+    configs = {v: replace(config, pooling_variant=v) for v in nn.VARIANTS}
+    reports = {v: _train_and_write(c) for v, c in configs.items()}
     print(harness.comparison_table(reports))
     shape = (1, *harness.DATASETS[config.dataset])
-    plans = {v: nn.plan(harness.build_model_spec(replace(config, pooling_variant=v)), shape)
-             for v in nn.VARIANTS}
+    plans = {v: nn.plan(harness.build_model_spec(c), shape) for v, c in configs.items()}
     # Each variant's pool (window, stride, output size) and fused ReLU, stage
     # by stage; both rows of a stage where the variants differ are marked.
     print(f"{'stage':>5} {'variant':<8} {'window':>7} {'stride':>7} {'out':>7} {'relu':>5}")
@@ -140,16 +143,17 @@ def cmd_compare(args) -> int:
 
 
 def cmd_poolcheck(args) -> int:
-    sweep = harness.poolcheck(args.max_dim)
+    rows = harness.poolcheck(args.max_dim)  # rejects a max_dim below 1 before any output
     print(f"{'in':>4} {'target':>7} {'window':>7} {'stride':>7} {'out':>5}  flag")
-    for (h_in, target), p in sweep.items():
+    deltas = Counter()  # achieved - requested: rows per difference, 0 included
+    for (h_in, target), p in rows:
+        deltas[p.out_h - target] += 1
         flag = "DEVIATES" if p.out_h != target else ""
         print(f"{h_in:>4} {target:>7} {p.window_h:>7} {p.stride_h:>7} {p.out_h:>5}  {flag}")
-    deltas = Counter(p.out_h - target for (_, target), p in sweep.items() if p.out_h != target)
     print("deviation histogram (achieved - requested):")
-    for delta in sorted(deltas):
+    for delta in sorted(deltas.keys() - {0}):
         print(f"  {delta:+3d}: {deltas[delta]} cases")
-    print(f"{len(sweep)} cases, {deltas.total()} deviate from the requested size")
+    print(f"{deltas.total()} cases, {deltas.total() - deltas[0]} deviate from the requested size")
     return EXIT_OK
 
 

@@ -9,6 +9,7 @@ import json
 import os
 import tempfile
 import time
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -323,13 +324,6 @@ def write_report(report: RunReport, output_dir) -> Path:
     return json_path
 
 
-def compare(config: RunConfig, verbose: bool = False) -> dict[str, RunReport]:
-    """Run both pooling variants under identical seed/config. A configured
-    activation placement applies to both; None gives each its default."""
-    return {variant: train(replace(config, pooling_variant=variant), verbose=verbose)
-            for variant in nn.VARIANTS}
-
-
 def comparison_table(reports: dict[str, RunReport]) -> str:
     lines = [f"{'variant':<10} {'loss':>10} {'accuracy':>10}"]
     for variant, rep in reports.items():
@@ -337,11 +331,12 @@ def comparison_table(reports: dict[str, RunReport]) -> str:
     return "\n".join(lines)
 
 
-def poolcheck(max_dim: int = 64) -> dict[tuple[int, int], pooling.PoolParams]:
-    """Sweep adaptive parameter derivation over square (input, target) pairs,
-    by input then target; a pair deviates where its out_h is not the target."""
+def poolcheck(max_dim: int = 64) -> Iterator[tuple[tuple[int, int], pooling.PoolParams]]:
+    """Each square (input, target) pair, by input then target, and its
+    `PoolParams`, derived one at a time as the result is read; a pair deviates
+    where its out_h is not the target. A max_dim below 1 raises at the call."""
     if max_dim < 1:
         raise ValueError(f"max_dim must be >= 1, got {max_dim}")
     dims = range(1, max_dim + 1)
-    return {(h_in, target): pooling.compute_pool_params(h_in, h_in, target, target)
-            for h_in in dims for target in dims}
+    return (((h_in, target), pooling.compute_pool_params(h_in, h_in, target, target))
+            for h_in in dims for target in dims)

@@ -44,8 +44,7 @@ MICRO_BATCH_BYTES = 2 << 20
 # Side of every convolution's square kernel.
 KERNEL_SIZE = 3
 
-# Pooling variants, in the order `harness.compare` runs them, and activation
-# placements.
+# Pooling variants, in the order `compare` runs them, and activation placements.
 VARIANTS = ("max2x2", "nirmal")
 PLACEMENTS = ("after_conv", "pool_only")
 

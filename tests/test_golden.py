@@ -12,10 +12,12 @@ may round a matrix product differently; on one machine the values repeat
 bitwise.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from nirmalpool import data, harness
+from nirmalpool import cli, data, harness
 
 REL = 1e-10
 # 53 training images leave 48 = 3 batches of 16 after the 10% split.
@@ -88,7 +90,7 @@ GOLDEN_TRAIN = {
         3.0035261631291856, 0.0625],
 }
 
-# variant -> trace(report) of harness.compare on 48 synthetic training images.
+# variant -> trace(report) of `nirmalpool compare` on 48 synthetic training images.
 GOLDEN_COMPARE = {
     "max2x2": [
         0.628776507142269, 0.5208333333333334, 0.46940169463783016, 1.0,
@@ -140,12 +142,19 @@ def test_one_epoch_trace(tmp_path, name):
         pytest.approx(GOLDEN_TRAIN[name], rel=REL)
 
 
-def test_synthetic_compare_trace(tmp_path):
+def test_synthetic_compare_trace(tmp_path, capsys):
     # With the ReLU on the pool only, max2x2 has none: the variants differ.
-    config = harness.RunConfig(dataset="synthetic", activation_placement="pool_only",
-                               epochs=1, batch_size=BATCH, seed=1, train_limit=N_TRAIN,
-                               test_limit=N_TEST, output_dir=str(tmp_path))
-    reports = harness.compare(config)
+    # Each report is read back from the path that compare printed for it.
+    cfg = tmp_path / "compare.cfg"
+    cfg.write_text(f"dataset=synthetic\nactivation_placement=pool_only\nepochs=1\n"
+                   f"batch_size={BATCH}\nseed=1\ntrain_limit={N_TRAIN}\n"
+                   f"test_limit={N_TEST}\noutput_dir={tmp_path / 'out'}\n")
+    assert cli.main(["compare", "--config", str(cfg)]) == cli.EXIT_OK
+    paths = [line.removeprefix("report written to ")
+             for line in capsys.readouterr().out.splitlines()
+             if line.startswith("report written to ")]
+    reports = [harness.RunReport.from_json(Path(path).read_text()) for path in paths]
+    reports = {report.variant: report for report in reports}
     assert list(reports) == list(GOLDEN_COMPARE)
     for variant, report in reports.items():
         assert trace(report) == pytest.approx(GOLDEN_COMPARE[variant], rel=REL), variant

@@ -1,8 +1,11 @@
 import argparse
+import contextlib
 import csv
 import dataclasses
 import itertools
+import os
 import tempfile
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -93,8 +96,24 @@ def test_write_report_keeps_differing_runs_apart(tmp_path):
         [path.name, other_path.name, "results.csv"])
 
 
-def test_compare_runs_both_variants():
-    reports = harness.compare(synth_config(epochs=1))
+def cli_compare(capsys, tmp_path, name="out", **settings):
+    """`nirmalpool compare` on synth_config(epochs=1)'s settings, updated by
+    `settings`, from a config file into tmp_path / name: the reports whose
+    paths it printed, read back, by variant in the order they were written."""
+    settings = {"dataset": "synthetic", "epochs": 1, "batch_size": 64, "seed": 2,
+                "lr": 0.003, **settings, "output_dir": tmp_path / name}
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in settings.items()))
+    assert cli.main(["compare", "--config", str(cfg)]) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    paths = [line.removeprefix("report written to ") for line in lines
+             if line.startswith("report written to ")]
+    reports = [harness.RunReport.from_json(Path(path).read_text()) for path in paths]
+    return {report.variant: report for report in reports}
+
+
+def test_compare_runs_both_variants(tmp_path, capsys):
+    reports = cli_compare(capsys, tmp_path)
     assert set(reports) == {"max2x2", "nirmal"}
     for variant, report in reports.items():
         assert report.variant == variant
@@ -104,28 +123,28 @@ def test_compare_runs_both_variants():
     assert "nirmal" in table and "max2x2" in table
 
 
-def test_compare_deterministic():
-    a = harness.compare(synth_config(epochs=1))
-    b = harness.compare(synth_config(epochs=1))
+def test_compare_deterministic(tmp_path, capsys):
+    a = cli_compare(capsys, tmp_path, "a")
+    b = cli_compare(capsys, tmp_path, "b")
     for variant in a:
         assert a[variant].test_loss == b[variant].test_loss
         assert a[variant].test_accuracy == b[variant].test_accuracy
 
 
-def test_compare_keeps_configured_placement(record):
+def test_compare_keeps_configured_placement(tmp_path, capsys, record):
     calls = record(nn, "init_params")  # one per run, with the spec it trains
-    reports = harness.compare(synth_config(epochs=1, activation_placement="pool_only"))
+    reports = cli_compare(capsys, tmp_path, "pool_only", activation_placement="pool_only")
     assert [c.args["spec"].activation_placement for c in calls] == ["pool_only", "pool_only"]
     assert all(r.config["activation_placement"] == "pool_only" for r in reports.values())
 
     calls.clear()
-    harness.compare(synth_config(epochs=1))
+    cli_compare(capsys, tmp_path, "default")
     assert {c.args["spec"].pooling_variant: c.args["spec"].activation_placement
             for c in calls} == {"max2x2": "after_conv", "nirmal": "pool_only"}
 
 
 def test_poolcheck_rows():
-    sweep = harness.poolcheck(32)
+    sweep = dict(harness.poolcheck(32))
     assert list(sweep) == [(h, t) for h in range(1, 33) for t in range(1, 33)]
     p = sweep[(28, 10)]
     assert (p.window_h, p.stride_h, p.out_h) == (3, 2, 13)  # deviates from 10
@@ -318,6 +337,29 @@ def test_cli_train_writes_outputs(tmp_path, capsys):
     assert "test loss" in out
 
 
+def test_cli_compare_keeps_the_finished_report_when_the_next_run_diverges(tmp_path,
+                                                                         monkeypatch):
+    """max2x2 runs first; when nirmal then diverges, the command exits 4 and
+    max2x2's report and results.csv row stay on disk."""
+    train_step = harness.train_step
+
+    def nirmal_diverges(spec, *args):
+        params, loss, correct = train_step(spec, *args)
+        return params, (float("nan") if spec.pooling_variant == "nirmal" else loss), correct
+
+    monkeypatch.setattr(harness, "train_step", nirmal_diverges)
+    out = tmp_path / "out"
+    code = cli.main(["compare", "--dataset", "synthetic", "--epochs", "1",
+                     "--output-dir", str(out)])
+    assert code == cli.EXIT_DIVERGENCE
+    [report_path] = out.glob("*.report.json")
+    assert report_path.match("synthetic_max2x2_seed*.report.json")
+    assert harness.RunReport.from_json(report_path.read_text()).variant == "max2x2"
+    with open(out / "results.csv") as f:
+        rows = list(csv.reader(f))
+    assert rows[0] == harness.CSV_HEADER and len(rows) == 2
+
+
 def test_cli_compare_table(tmp_path, capsys):
     code = cli.main(["compare", "--dataset", "synthetic", "--epochs", "1",
                      "--output-dir", str(tmp_path)])
@@ -358,6 +400,19 @@ def test_cli_compare_is_silent_when_the_variants_differ(tmp_path, capsys, monkey
     lines = out.splitlines()
     header = lines.index("stage variant   window  stride     out  relu")
     assert [" ".join(line.split()) for line in lines[header + 1:]] == stage_rows
+
+
+def test_cli_poolcheck_derives_one_row_at_a_time():
+    """The sweep keeps no table of its rows: printing max_dim=200's 40000 rows
+    peaks under 1 MB of traced memory, where a dict of them all took ~9 MB."""
+    tracemalloc.start()
+    try:
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            assert cli.main(["poolcheck", "--max-dim", "200"]) == cli.EXIT_OK
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_cli_poolcheck(capsys):
