@@ -12,9 +12,10 @@ import argparse
 import sys
 from collections import Counter
 from dataclasses import replace
+from itertools import product
 from pathlib import Path
 
-from . import data, gradcheck, harness, nn
+from . import data, gradcheck, harness, nn, pooling
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -95,6 +96,9 @@ def build_config(args: argparse.Namespace) -> harness.RunConfig:
         flag = getattr(args, name, None)
         if flag is not None:
             values[name] = flag
+    if getattr(args, "command", None) == "compare" and "pooling_variant" in values:
+        raise ValueError("compare trains every variant; "
+                         "--variant and pooling_variant are for train")
     if getattr(args, "desk_scale", False):
         values.setdefault("train_limit", 10000)
         values.setdefault("test_limit", 2000)
@@ -120,7 +124,9 @@ def cmd_compare(args) -> int:
     config = build_config(args)
     configs = {v: replace(config, pooling_variant=v) for v in nn.VARIANTS}
     reports = {v: _train_and_write(c) for v, c in configs.items()}
-    print(harness.comparison_table(reports))
+    print(f"{'variant':<10} {'loss':>10} {'accuracy':>10}")
+    for variant, rep in reports.items():
+        print(f"{variant:<10} {rep.test_loss:>10.4f} {rep.test_accuracy:>10.4f}")
     shape = (1, *harness.DATASETS[config.dataset])
     plans = {v: nn.plan(harness.build_model_spec(c), shape) for v, c in configs.items()}
     # Each variant's pool (window, stride, output size) and fused ReLU, stage
@@ -143,10 +149,13 @@ def cmd_compare(args) -> int:
 
 
 def cmd_poolcheck(args) -> int:
-    rows = harness.poolcheck(args.max_dim)  # rejects a max_dim below 1 before any output
+    if args.max_dim < 1:
+        raise ValueError(f"max_dim must be >= 1, got {args.max_dim}")
     print(f"{'in':>4} {'target':>7} {'window':>7} {'stride':>7} {'out':>5}  flag")
     deltas = Counter()  # achieved - requested: rows per difference, 0 included
-    for (h_in, target), p in rows:
+    # Each square (input, target) pair, by input then target, derived as it is printed.
+    for h_in, target in product(range(1, args.max_dim + 1), repeat=2):
+        p = pooling.compute_pool_params(h_in, h_in, target, target)
         deltas[p.out_h - target] += 1
         flag = "DEVIATES" if p.out_h != target else ""
         print(f"{h_in:>4} {target:>7} {p.window_h:>7} {p.stride_h:>7} {p.out_h:>5}  {flag}")
@@ -158,6 +167,8 @@ def cmd_poolcheck(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.seed < 0:  # numpy's own message would not name the flag
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     results = gradcheck.run_all(seed=args.seed)
     worst = EXIT_OK
     for r in results:

@@ -9,14 +9,13 @@ import json
 import os
 import tempfile
 import time
-from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import data as datasets
-from . import nn, optim, pooling
+from . import nn, optim
 
 DATA_ROOT_ENV = "NIRMALPOOL_DATA_ROOT"
 CSV_HEADER = ["dataset", "variant", "seed", "epochs", "test_loss", "test_accuracy"]
@@ -323,20 +322,3 @@ def write_report(report: RunReport, output_dir) -> Path:
                          f"{report.test_accuracy:.6f}"])
     return json_path
 
-
-def comparison_table(reports: dict[str, RunReport]) -> str:
-    lines = [f"{'variant':<10} {'loss':>10} {'accuracy':>10}"]
-    for variant, rep in reports.items():
-        lines.append(f"{variant:<10} {rep.test_loss:>10.4f} {rep.test_accuracy:>10.4f}")
-    return "\n".join(lines)
-
-
-def poolcheck(max_dim: int = 64) -> Iterator[tuple[tuple[int, int], pooling.PoolParams]]:
-    """Each square (input, target) pair, by input then target, and its
-    `PoolParams`, derived one at a time as the result is read; a pair deviates
-    where its out_h is not the target. A max_dim below 1 raises at the call."""
-    if max_dim < 1:
-        raise ValueError(f"max_dim must be >= 1, got {max_dim}")
-    dims = range(1, max_dim + 1)
-    return (((h_in, target), pooling.compute_pool_params(h_in, h_in, target, target))
-            for h_in in dims for target in dims)

@@ -99,7 +99,8 @@ def test_write_report_keeps_differing_runs_apart(tmp_path):
 def cli_compare(capsys, tmp_path, name="out", **settings):
     """`nirmalpool compare` on synth_config(epochs=1)'s settings, updated by
     `settings`, from a config file into tmp_path / name: the reports whose
-    paths it printed, read back, by variant in the order they were written."""
+    paths it printed, read back, by variant in the order they were written,
+    and the lines it printed."""
     settings = {"dataset": "synthetic", "epochs": 1, "batch_size": 64, "seed": 2,
                 "lr": 0.003, **settings, "output_dir": tmp_path / name}
     cfg = tmp_path / f"{name}.cfg"
@@ -109,23 +110,25 @@ def cli_compare(capsys, tmp_path, name="out", **settings):
     paths = [line.removeprefix("report written to ") for line in lines
              if line.startswith("report written to ")]
     reports = [harness.RunReport.from_json(Path(path).read_text()) for path in paths]
-    return {report.variant: report for report in reports}
+    return {report.variant: report for report in reports}, lines
 
 
 def test_compare_runs_both_variants(tmp_path, capsys):
-    reports = cli_compare(capsys, tmp_path)
-    assert set(reports) == {"max2x2", "nirmal"}
+    reports, lines = cli_compare(capsys, tmp_path)
+    assert list(reports) == ["max2x2", "nirmal"]
     for variant, report in reports.items():
         assert report.variant == variant
         assert report.seed == 2
-    table = harness.comparison_table(reports)
-    assert "loss" in table and "accuracy" in table
-    assert "nirmal" in table and "max2x2" in table
+    # The table's row for each variant gives the test loss and accuracy its report holds.
+    header = lines.index("variant          loss   accuracy")
+    rows = [line.split() for line in lines[header + 1:header + 3]]
+    assert rows == [[variant, f"{report.test_loss:.4f}", f"{report.test_accuracy:.4f}"]
+                    for variant, report in reports.items()]
 
 
 def test_compare_deterministic(tmp_path, capsys):
-    a = cli_compare(capsys, tmp_path, "a")
-    b = cli_compare(capsys, tmp_path, "b")
+    a, _ = cli_compare(capsys, tmp_path, "a")
+    b, _ = cli_compare(capsys, tmp_path, "b")
     for variant in a:
         assert a[variant].test_loss == b[variant].test_loss
         assert a[variant].test_accuracy == b[variant].test_accuracy
@@ -133,7 +136,7 @@ def test_compare_deterministic(tmp_path, capsys):
 
 def test_compare_keeps_configured_placement(tmp_path, capsys, record):
     calls = record(nn, "init_params")  # one per run, with the spec it trains
-    reports = cli_compare(capsys, tmp_path, "pool_only", activation_placement="pool_only")
+    reports, _ = cli_compare(capsys, tmp_path, "pool_only", activation_placement="pool_only")
     assert [c.args["spec"].activation_placement for c in calls] == ["pool_only", "pool_only"]
     assert all(r.config["activation_placement"] == "pool_only" for r in reports.values())
 
@@ -143,13 +146,18 @@ def test_compare_keeps_configured_placement(tmp_path, capsys, record):
             for c in calls} == {"max2x2": "after_conv", "nirmal": "pool_only"}
 
 
-def test_poolcheck_rows():
-    sweep = dict(harness.poolcheck(32))
+def test_poolcheck_rows(capsys):
+    assert cli.main(["poolcheck", "--max-dim", "32"]) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    end = lines.index("deviation histogram (achieved - requested):")
+    # (input, target) -> (window, stride, out, flag) per printed row
+    sweep = {(int(h), int(t)): (int(w), int(s), int(o), *flag)
+             for h, t, w, s, o, *flag in map(str.split, lines[1:end])}
     assert list(sweep) == [(h, t) for h in range(1, 33) for t in range(1, 33)]
-    p = sweep[(28, 10)]
-    assert (p.window_h, p.stride_h, p.out_h) == (3, 2, 13)  # deviates from 10
-    assert sweep[(28, 14)].out_h == 14
-    assert all(p.out_h >= 1 for p in sweep.values())
+    assert sweep[(28, 10)] == (3, 2, 13, "DEVIATES")  # deviates from 10
+    assert sweep[(28, 14)] == (2, 2, 14)
+    assert all(row[2] >= 1 for row in sweep.values())
+    assert all((row[2] != t) == (row[3:] == ("DEVIATES",)) for (_, t), row in sweep.items())
 
 
 def test_gradcheck_suite_passes_and_corruption_detected(monkeypatch):
@@ -456,6 +464,13 @@ def test_cli_gradcheck_passes_across_a_model_kink(capsys, seed):
     assert capsys.readouterr().out.count("PASS") == 7
 
 
+def test_cli_gradcheck_negative_seed_exit_code(capsys):
+    assert cli.main(["gradcheck", "--seed", "-1"]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert "--seed must be >= 0, got -1" in captured.err
+
+
 def test_cli_gradcheck_failure_exit_code(monkeypatch, capsys):
     backward = pooling.nirmal_backward
     monkeypatch.setattr(pooling, "nirmal_backward", lambda g, cache: 2.0 * backward(g, cache))
@@ -710,6 +725,20 @@ def test_cli_zero_epochs_evaluates_the_initial_model(tmp_path, source):
     assert cli.main(["train", *args, "--output-dir", str(out)]) == cli.EXIT_OK
     [report_path] = out.glob("*.report.json")
     assert harness.RunReport.from_json(report_path.read_text()).epochs == []
+
+
+@pytest.mark.parametrize("source", BOTH)
+def test_cli_compare_rejects_a_variant(tmp_path, capsys, reads, source):
+    """compare trains every variant, so a variant from a flag or a config
+    file is rejected before any data is read; train takes either."""
+    args = cli_args(tmp_path, source, {"dataset": "synthetic", "pooling_variant": "nirmal",
+                                       "epochs": "1"})
+    out = tmp_path / "out"
+    assert cli.main(["compare", *args, "--output-dir", str(out)]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "compare trains every variant" in captured.err
+    assert not captured.out and not reads and not out.exists()
+    assert build(*args).pooling_variant == "nirmal"
 
 
 @pytest.mark.parametrize("command", ["train", "compare"])
