@@ -33,7 +33,10 @@ def parse_pool_targets(text: str) -> tuple:
             stages.append(None)
         else:
             h, _, w = part.partition("x")
-            stages.append((int(h), int(w)))
+            try:
+                stages.append((int(h), int(w)))
+            except ValueError:
+                raise ValueError(f"each stage is 'half' or HxW, got {part!r}") from None
     return tuple(stages)
 
 
@@ -42,7 +45,8 @@ def parse_pool_targets(text: str) -> tuple:
 # add_argument keywords.
 SETTINGS = {
     "dataset": ("--dataset", str, {"choices": harness.DATASETS}),
-    "pooling_variant": ("--variant", str, {"choices": nn.VARIANTS}),
+    "pooling_variant": ("--variant", str, {"choices": nn.VARIANTS,
+                                           "help": "train only: compare trains every variant"}),
     "activation_placement": ("--activation-placement", str, {"choices": nn.PLACEMENTS}),
     "epochs": ("--epochs", int, {}),
     "batch_size": ("--batch-size", int, {}),
@@ -75,7 +79,10 @@ def parse_config_file(path) -> dict:
         if key not in SETTINGS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
         _, parse, _ = SETTINGS[key]
-        values[key] = parse(value)
+        try:
+            values[key] = parse(value)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return values
 
 
@@ -107,8 +114,10 @@ def build_config(args: argparse.Namespace) -> harness.RunConfig:
 
 
 def _train_and_write(config: harness.RunConfig) -> harness.RunReport:
-    """Train one run, then write its report and CSV row before anything else runs."""
-    report = harness.train(config, verbose=True)
+    """Train one run, printing each epoch's line, then write its report and CSV row."""
+    report = harness.train(config, on_epoch=lambda m: print(
+        f"epoch {m.epoch}: train loss {m.train_loss:.4f} acc {m.train_accuracy:.4f} | "
+        f"val loss {m.val_loss:.4f} acc {m.val_accuracy:.4f}"))
     path = harness.write_report(report, config.output_dir)
     print(f"test loss {report.test_loss:.4f}  accuracy {report.test_accuracy:.4f}")
     print(f"report written to {path}")

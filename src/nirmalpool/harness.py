@@ -258,8 +258,9 @@ def setup(config: RunConfig) -> tuple[datasets.Split, datasets.Dataset, nn.Model
     return split, test_set, spec, params, state
 
 
-def train(config: RunConfig, verbose: bool = False) -> RunReport:
-    """Train and evaluate a config, which checked its settings when it was built."""
+def train(config: RunConfig, on_epoch=lambda metrics: None) -> RunReport:
+    """Train and evaluate a config, which checked its settings when it was built.
+    Each epoch's `EpochMetrics` goes to `on_epoch` as the epoch ends; `train` prints nothing."""
     start_time = time.time()
     split, test_set, spec, params, state = setup(config)
     epoch_metrics: list[EpochMetrics] = []
@@ -281,10 +282,7 @@ def train(config: RunConfig, verbose: bool = False) -> RunReport:
                                train_accuracy=running_correct / len(split.train),
                                val_loss=val_loss, val_accuracy=val_acc)
         epoch_metrics.append(metrics)
-        if verbose:
-            print(f"epoch {epoch}: train loss {metrics.train_loss:.4f} "
-                  f"acc {metrics.train_accuracy:.4f} | val loss {val_loss:.4f} "
-                  f"acc {val_acc:.4f}")
+        on_epoch(metrics)
 
     test_loss, test_acc = evaluate(spec, params, test_set, config.batch_size)
     if not np.isfinite(test_loss):

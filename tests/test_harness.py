@@ -279,6 +279,21 @@ def test_train_step_on_a_non_finite_loss_changes_nothing(monkeypatch, record):
     assert all((params[key] == before[key]).all() for key in params)
 
 
+@pytest.mark.parametrize("epochs", [0, 2])
+def test_train_hands_each_epoch_to_on_epoch_as_it_ends(record, capsys, epochs):
+    """on_epoch gets each epoch's metrics once, in order, after the epoch's
+    validation and before the next epoch's first step; train prints nothing."""
+    calls = record(harness, "train_step", "eval_batch")
+    report = harness.train(synth_config(epochs=epochs, batch_size=50, train_limit=120,
+                                        test_limit=30), on_epoch=calls.append)
+    assert len(report.epochs) == epochs
+    assert [c if isinstance(c, harness.EpochMetrics) else c.name for c in calls] == [
+        *itertools.chain.from_iterable(
+            ["train_step"] * 3 + ["eval_batch", metrics] for metrics in report.epochs),
+        "eval_batch"]
+    assert capsys.readouterr().out == ""
+
+
 def test_synthetic_splits_are_byte_images():
     """The synthetic set is bytes, like a loaded file: each read is bitwise
     raw / 255 in float64."""
@@ -345,6 +360,20 @@ def test_cli_train_writes_outputs(tmp_path, capsys):
     assert "test loss" in out
 
 
+def test_cli_train_prints_each_epoch_line_from_its_report(tmp_path, capsys):
+    """One line per epoch, each holding that epoch's four reported numbers to 4 places."""
+    assert cli.main(["train", "--dataset", "synthetic", "--epochs", "2",
+                     "--output-dir", str(tmp_path)]) == cli.EXIT_OK
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("epoch")]
+    [report_path] = tmp_path.glob("*.report.json")
+    epochs = harness.RunReport.from_json(report_path.read_text()).epochs
+    assert len(lines) == len(epochs) == 2
+    for line, e in zip(lines, epochs):
+        assert line == (f"epoch {e.epoch}: train loss {e.train_loss:.4f} "
+                        f"acc {e.train_accuracy:.4f} | val loss {e.val_loss:.4f} "
+                        f"acc {e.val_accuracy:.4f}")
+
+
 def test_cli_compare_keeps_the_finished_report_when_the_next_run_diverges(tmp_path,
                                                                          monkeypatch):
     """max2x2 runs first; when nirmal then diverges, the command exits 4 and
@@ -398,7 +427,7 @@ def test_cli_compare_is_silent_when_the_variants_differ(tmp_path, capsys, monkey
     pool_only max2x2 fuses no ReLU. The per-stage table after the comparison
     marks both rows of each stage that differs, and the same-network line is
     not printed. Training is stubbed: no data is read."""
-    monkeypatch.setattr(harness, "train", lambda config, verbose=False: harness.RunReport(
+    monkeypatch.setattr(harness, "train", lambda config, on_epoch: harness.RunReport(
         config.dataset, config.pooling_variant, config.seed, config.fingerprint(), [],
         1.0, 0.5, 0.0))
     assert cli.main(["compare", *args, "--output-dir", str(tmp_path)]) == cli.EXIT_OK
@@ -880,7 +909,7 @@ def test_evaluate_rejects_a_batch_size_below_one(batch_size):
 def test_cli_lets_a_program_bug_propagate(monkeypatch):
     """Only bad settings and unusable files exit 2; a TypeError from inside
     training is a bug, not a config error."""
-    def fail(config, verbose=False):
+    def fail(config, on_epoch):
         raise TypeError("a bug")
 
     monkeypatch.setattr(harness, "train", fail)
@@ -949,6 +978,29 @@ def test_cli_config_file_errors(tmp_path):
     assert cli.main(["train", "--config", str(bad)]) == cli.EXIT_CONFIG
     # An unreadable config file (a directory) stays a config error.
     assert cli.main(["train", "--config", str(tmp_path)]) == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("epochs", "three", "invalid literal for int() with base 10: 'three'"),
+    ("lr", "fast", "could not convert string to float: 'fast'"),
+    ("pool_targets", "5", "each stage is 'half' or HxW, got '5'"),
+])
+def test_cli_config_file_value_error_names_file_line_and_key(tmp_path, capsys, key, value,
+                                                             message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"dataset = synthetic\n# a comment\n{key} = {value}\n")
+    assert cli.main(["train", "--config", str(cfg)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {cfg}:3: {key}: {message}\n"
+
+
+def test_cli_compare_help_marks_variant_train_only(capsys):
+    """compare keeps --variant only to reject it with a clear message, so its
+    help says the flag is for train."""
+    with pytest.raises(SystemExit) as exc_info:
+        cli.main(["compare", "--help"])
+    assert exc_info.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "--variant {max2x2,nirmal} train only: compare trains every variant" in help_text
 
 
 def test_parse_pool_targets():
