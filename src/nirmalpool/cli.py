@@ -25,7 +25,8 @@ EXIT_DIVERGENCE = 4
 
 
 def parse_pool_targets(text: str) -> tuple:
-    """Comma-separated per-stage targets, e.g. '13x13,5x5' or 'half,5x5'."""
+    """Comma-separated per-stage targets, e.g. '13x13,5x5' or 'half,5x5'. Text
+    that does not parse raises ArgumentTypeError, whose reason argparse shows."""
     stages = []
     for part in text.split(","):
         part = part.strip()
@@ -36,7 +37,8 @@ def parse_pool_targets(text: str) -> tuple:
             try:
                 stages.append((int(h), int(w)))
             except ValueError:
-                raise ValueError(f"each stage is 'half' or HxW, got {part!r}") from None
+                raise argparse.ArgumentTypeError(
+                    f"each stage is 'half' or HxW, got {part!r}") from None
     return tuple(stages)
 
 
@@ -81,7 +83,7 @@ def parse_config_file(path) -> dict:
         _, parse, _ = SETTINGS[key]
         try:
             values[key] = parse(value)
-        except ValueError as exc:
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return values
 

@@ -1,10 +1,11 @@
 """Experiment harness: trains the benchmark network with either pooling
-variant, evaluates on held-out data, and emits JSON reports plus CSV summary
-rows suitable for cross-run comparison tables.
+variant, evaluates on held-out data, and writes a JSON report per run plus a
+CSV table of every report in the output directory, for cross-run comparison.
 """
 
 import csv
 import hashlib
+import io
 import json
 import os
 import tempfile
@@ -18,7 +19,7 @@ from . import data as datasets
 from . import nn, optim
 
 DATA_ROOT_ENV = "NIRMALPOOL_DATA_ROOT"
-CSV_HEADER = ["dataset", "variant", "seed", "epochs", "test_loss", "test_accuracy"]
+CSV_HEADER = "dataset,variant,seed,fingerprint,epochs,test_loss,test_accuracy".split(",")
 
 # Both MNIST sets ship the same four IDX files: train images and labels,
 # then test images and labels.
@@ -105,14 +106,15 @@ class RunConfig:
                              if existing == out else
                              f"output_dir {self.output_dir!r} is below {str(existing)!r}, "
                              f"which is not a directory")
-        csv_path = out / "results.csv"  # rows are appended under its header, so it must be ours
+        csv_path = out / "results.csv"  # write_report overwrites it whole, so it must be ours
         if csv_path.exists() and not csv_path.is_file():
             raise ValueError(f"{csv_path} exists and is not a regular file")
         if csv_path.is_file() and csv_path.stat().st_size:
             with open(csv_path, errors="replace") as f:
                 if f.readline().rstrip("\n") != ",".join(CSV_HEADER):
                     raise ValueError(f"{csv_path} does not start with the header "
-                                     f"{','.join(CSV_HEADER)!r}")
+                                     f"{','.join(CSV_HEADER)!r}; it is rebuilt from the reports "
+                                     f"beside it after each run, so an older one can be deleted")
 
     def fingerprint(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True, default=str)
@@ -294,29 +296,39 @@ def train(config: RunConfig, on_epoch=lambda metrics: None) -> RunReport:
                      config=asdict(config))
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write `text` to a temporary file beside `path`, then rename it over `path`."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", newline="") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def write_report(report: RunReport, output_dir) -> Path:
-    """Write `<dataset>_<variant>_seed<seed>_<fingerprint[:8]>.report.json`
-    and append a row to `results.csv`. The fingerprint keeps runs that differ
-    in any other setting apart; the JSON is written to a temporary file and
-    renamed over the target, so a reader never sees a partial report."""
+    """Write `<dataset>_<variant>_seed<seed>_<fingerprint[:8]>.report.json`, then
+    rebuild `results.csv` from every `*.report.json` in `output_dir`, one row per
+    report by file name, both atomically. The fingerprint keeps runs that differ
+    in any other setting apart; a rerun replaces its report and row. A report that
+    does not load raises ValueError naming it and leaves `results.csv` as it was."""
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     name = f"{report.dataset}_{report.variant}_seed{report.seed}_{report.fingerprint[:8]}"
     json_path = out / f"{name}.report.json"
-    fd, tmp = tempfile.mkstemp(dir=out, prefix=f".{name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as f:
-            f.write(report.to_json())
-        os.replace(tmp, json_path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-    with open(out / "results.csv", "a", newline="") as f:
-        writer = csv.writer(f)
-        if not f.tell():  # a new or empty file
-            writer.writerow(CSV_HEADER)
-        writer.writerow([report.dataset, report.variant, report.seed,
-                         len(report.epochs), f"{report.test_loss:.6f}",
-                         f"{report.test_accuracy:.6f}"])
+    _write_atomic(json_path, report.to_json())
+    table = io.StringIO()
+    writer = csv.writer(table)
+    writer.writerow(CSV_HEADER)
+    for path in sorted(out.glob("*.report.json")):
+        try:
+            r = RunReport.from_json(path.read_text())
+            writer.writerow([r.dataset, r.variant, r.seed, r.fingerprint, len(r.epochs),
+                             f"{r.test_loss:.6f}", f"{r.test_accuracy:.6f}"])
+        except (KeyError, RecursionError, TypeError, ValueError) as exc:  # any file content
+            raise ValueError(f"{path} does not load as a run report "
+                             f"({type(exc).__name__}: {exc})") from None
+    _write_atomic(out / "results.csv", table.getvalue())
     return json_path
-

@@ -3,6 +3,7 @@ import contextlib
 import csv
 import dataclasses
 import itertools
+import json
 import os
 import tempfile
 import tracemalloc
@@ -61,13 +62,10 @@ def test_write_report_and_csv(tmp_path):
     assert json_path.name == f"synthetic_nirmal_seed2_{report.fingerprint[:8]}.report.json"
     assert harness.RunReport.from_json(json_path.read_text()) == report
 
-    harness.write_report(report, tmp_path)  # append-only
-    with open(tmp_path / "results.csv") as f:
-        rows = list(csv.reader(f))
-    assert rows[0] == harness.CSV_HEADER
-    assert len(rows) == 3
-    assert rows[1] == rows[2]
-    assert rows[1][0] == "synthetic" and rows[1][1] == "nirmal"
+    harness.write_report(report, tmp_path)  # a rerun replaces its report and its row
+    rows = csv_rows(tmp_path)
+    assert rows == table_of(tmp_path) and len(rows) == 2
+    assert rows[1][:4] == ["synthetic", "nirmal", "2", report.fingerprint]
 
 
 def test_write_report_leaves_nothing_when_the_rename_fails(tmp_path, monkeypatch):
@@ -81,6 +79,125 @@ def test_write_report_leaves_nothing_when_the_rename_fails(tmp_path, monkeypatch
         harness.write_report(report, tmp_path)
     # No temp file, no report and no results.csv row.
     assert list(tmp_path.iterdir()) == []
+
+
+def csv_rows(directory):
+    with open(Path(directory) / "results.csv", newline="") as f:
+        return list(csv.reader(f))
+
+
+def table_of(directory):
+    """The rows results.csv should hold: the header, then one row per report
+    in `directory`, by file name, read as plain JSON."""
+    rows = [harness.CSV_HEADER]
+    for path in sorted(Path(directory).glob("*.report.json")):
+        r = json.loads(path.read_text())
+        rows.append([r["dataset"], r["variant"], str(r["seed"]), r["fingerprint"],
+                     str(len(r["epochs"])), f"{r['test_loss']:.6f}",
+                     f"{r['test_accuracy']:.6f}"])
+    return rows
+
+
+def fake_report(variant, seed, lr, loss):
+    """A report for synth_config's settings, built without training."""
+    config = synth_config(pooling_variant=variant, seed=seed, lr=lr)
+    return harness.RunReport(config.dataset, variant, seed, config.fingerprint(),
+                             [harness.EpochMetrics(0, loss, 0.5, loss, 0.5)], loss, 0.5,
+                             0.0, dataclasses.asdict(config))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.one_of(
+    st.tuples(st.just("write"), st.sampled_from(nn.VARIANTS), st.integers(0, 1),
+              st.sampled_from([0.001, 0.003]), st.floats(0.0, 10.0)),
+    st.tuples(st.sampled_from(["delete", "stale"]))), min_size=1, max_size=12))
+def test_results_csv_is_the_table_of_the_reports_after_any_writes(tmp_path, steps):
+    """After every write_report, results.csv holds one row per report in the
+    directory, by file name, whatever happened to results.csv in between."""
+    out = Path(tempfile.mkdtemp(dir=tmp_path))
+    written = set()
+    for kind, *args in steps:
+        if kind == "write":
+            written.add(harness.write_report(fake_report(*args), out).name)
+            assert csv_rows(out) == table_of(out)
+            assert len(csv_rows(out)) == 1 + len(written)
+        elif kind == "delete":
+            (out / "results.csv").unlink(missing_ok=True)
+        else:
+            (out / "results.csv").write_text(",".join(harness.CSV_HEADER) + "\nstale,row\n")
+    assert not [p for p in out.iterdir() if p.name.endswith(".tmp")]
+
+
+def test_cli_reruns_and_differing_targets_give_one_row_per_report(tmp_path, capsys):
+    """Three runs whose targets are 3x3, 2x2 and 3x3 write two reports, and
+    results.csv holds one row for each, told apart by the full fingerprint."""
+    for targets in ("3x3", "2x2", "3x3"):
+        assert cli.main(["train", "--dataset", "synthetic", "--epochs", "1",
+                         "--pool-targets", targets, "--output-dir", str(tmp_path)]) == cli.EXIT_OK
+    reports = [harness.RunReport.from_json(p.read_text())
+               for p in sorted(tmp_path.glob("*.report.json"))]
+    rows = csv_rows(tmp_path)
+    assert len(reports) == 2 and rows == table_of(tmp_path)
+    assert [row[3] for row in rows[1:]] == [r.fingerprint for r in reports]
+    assert len({row[3] for row in rows[1:]}) == 2
+
+
+@pytest.mark.parametrize("state", ["deleted", "stale"])
+def test_write_report_rebuilds_a_deleted_or_stale_results_csv(tmp_path, state):
+    """results.csv is a view: the next write lists every report, whatever it held."""
+    for lr in (0.001, 0.002):
+        harness.write_report(fake_report("nirmal", 0, lr, 1.0), tmp_path)
+    if state == "deleted":
+        (tmp_path / "results.csv").unlink()
+    else:
+        (tmp_path / "results.csv").write_text(",".join(harness.CSV_HEADER) + "\nold,row\n")
+    harness.write_report(fake_report("max2x2", 1, 0.003, 2.0), tmp_path)
+    assert csv_rows(tmp_path) == table_of(tmp_path)
+    assert len(csv_rows(tmp_path)) == 4
+
+
+def test_write_report_keeps_the_report_when_the_results_csv_rename_fails(tmp_path,
+                                                                         monkeypatch):
+    harness.write_report(fake_report("nirmal", 0, 0.001, 1.0), tmp_path)
+    before = (tmp_path / "results.csv").read_bytes()
+    os_replace = os.replace
+
+    def replace(src, dst):
+        if Path(dst).name == "results.csv":
+            raise OSError("rename failed")
+        os_replace(src, dst)
+
+    monkeypatch.setattr(harness.os, "replace", replace)
+    report = fake_report("max2x2", 0, 0.001, 2.0)
+    with pytest.raises(OSError, match="rename failed"):
+        harness.write_report(report, tmp_path)
+    [path] = tmp_path.glob("synthetic_max2x2_*.report.json")
+    assert harness.RunReport.from_json(path.read_text()) == report
+    assert (tmp_path / "results.csv").read_bytes() == before
+    assert len(list(tmp_path.iterdir())) == 3  # two reports and results.csv; no temp file
+
+
+@pytest.mark.parametrize("text", ['{"dataset": "x"}', "not json", "[]", '{"epochs": [1]}',
+                                  "\udcff", "[" * 100000 + "]" * 100000],
+                         ids=["missing_keys", "not_json", "a_list", "bad_epochs", "not_utf8",
+                              "deeply_nested"])
+def test_cli_unloadable_report_in_output_dir_exit_code(tmp_path, capsys, text):
+    """A *.report.json that does not load stops the table's rebuild after the
+    run: exit 2 naming the file, with the run's report written and results.csv
+    left as it was."""
+    harness.write_report(fake_report("nirmal", 0, 0.001, 1.0), tmp_path)
+    before = (tmp_path / "results.csv").read_bytes()
+    stray = tmp_path / "x.report.json"
+    stray.write_text(text, errors="surrogateescape")
+    code = cli.main(["train", "--dataset", "synthetic", "--epochs", "1",
+                     "--output-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_CONFIG
+    assert f"config error: {stray} does not load as a run report" in captured.err
+    assert "Traceback" not in captured.err and "test loss" not in captured.out
+    assert len(list(tmp_path.glob("synthetic_nirmal_*.report.json"))) == 2
+    assert (tmp_path / "results.csv").read_bytes() == before
 
 
 def test_write_report_keeps_differing_runs_apart(tmp_path):
@@ -799,19 +916,25 @@ def test_cli_output_dir_below_a_file_exit_code(tmp_path, capsys, reads, command,
 
 @pytest.mark.parametrize("command", ["train", "compare"])
 def test_cli_results_csv_with_another_header_exit_code(tmp_path, capsys, reads, command):
-    """Rows are appended to results.csv under its header, so an output_dir
-    whose results.csv has another header is rejected before any data is
-    read, and the file is left as it was."""
+    """results.csv is overwritten whole after each run, so an output_dir whose
+    results.csv has another header, another tool's or this one's older
+    six-column one, is rejected before any data is read, and the file is
+    left as it was; the message says the file can be deleted."""
     out = tmp_path / "out"
     out.mkdir()
     csv_path = out / "results.csv"
-    csv_path.write_text("name,score\nrun,1\n")
-    assert cli.main([command, "--dataset", "synthetic", "--output-dir", str(out)]) \
-        == cli.EXIT_CONFIG
-    captured = capsys.readouterr()
-    assert (f"{csv_path} does not start with the header "
-            f"'dataset,variant,seed,epochs,test_loss,test_accuracy'" in captured.err)
-    assert not captured.out and not reads and csv_path.read_text() == "name,score\nrun,1\n"
+    for text in ("name,score\nrun,1\n",
+                 "dataset,variant,seed,epochs,test_loss,test_accuracy\r\n"
+                 "synthetic,nirmal,0,1,0.553718,0.859375\r\n"):
+        csv_path.write_bytes(text.encode())
+        assert cli.main([command, "--dataset", "synthetic", "--output-dir", str(out)]) \
+            == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert (f"{csv_path} does not start with the header "
+                f"'dataset,variant,seed,fingerprint,epochs,test_loss,test_accuracy'; it is "
+                f"rebuilt from the reports beside it after each run, so an older one can be "
+                f"deleted\n" in captured.err)
+        assert not captured.out and not reads and csv_path.read_bytes() == text.encode()
 
 
 @pytest.mark.parametrize("command", ["train", "compare"])
@@ -1007,8 +1130,22 @@ def test_parse_pool_targets():
     assert cli.parse_pool_targets("13x13,5x5") == ((13, 13), (5, 5))
     assert cli.parse_pool_targets("half,5x5") == (None, (5, 5))
     for text in ("auto", "half,auto", "13", "13xhalf"):
-        with pytest.raises(ValueError):
+        with pytest.raises(argparse.ArgumentTypeError, match="each stage is 'half' or HxW"):
             cli.parse_pool_targets(text)
+
+
+@pytest.mark.parametrize("command", ["train", "compare"])
+@pytest.mark.parametrize("value", ["5", "13xhalf"])
+def test_cli_pool_targets_flag_error_gives_the_reason(capsys, reads, command, value):
+    """A --pool-targets value that does not parse exits 2 with the reason the
+    config file gives, not argparse's generic message."""
+    with pytest.raises(SystemExit) as exc_info:
+        cli.main([command, "--dataset", "synthetic", "--pool-targets", value])
+    assert exc_info.value.code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert (f"argument --pool-targets: each stage is 'half' or HxW, got {value!r}\n"
+            in err)
+    assert "invalid" not in err and not reads
 
 
 # A value for every RunConfig field, unlike its default, as text.
@@ -1084,7 +1221,8 @@ def test_pool_targets_that_halve_every_stage_take_the_default_fingerprint():
 # (valid and boundary; None omits the row), then values it refuses on their
 # own (boundary and garbage). Paths lie under each example's temp dir, whose
 # data root holds no files, so only the synthetic set trains (it is drawn
-# twice as often); epochs is always set, to at most 1.
+# twice as often); epochs is always set, to at most 1. The output dir
+# `{tmp}/stray` holds a *.report.json that does not load.
 SETTING_DRAWS = {
     "dataset": ([None, "synthetic", *harness.DATASETS], ["mnist_digit", "CIFAR10", ""]),
     "pooling_variant": ([None, *nn.VARIANTS], ["nirmall", ""]),
@@ -1102,7 +1240,7 @@ SETTING_DRAWS = {
     "train_limit": ([None, "1", "10", "100"], ["0", "-1", "x"]),
     "test_limit": ([None, "1", "10"], ["0", "-1", "x"]),
     "data_root": ([None, "{tmp}/empty", "{tmp}/missing", "{tmp}/file"], []),
-    "output_dir": ([None, "{tmp}/out/sub", "{tmp}/ours"],
+    "output_dir": ([None, "{tmp}/out/sub", "{tmp}/ours", "{tmp}/stray"],
                    ["{tmp}/file", "{tmp}/file/sub", "{tmp}/foreign"]),
 }
 # Config-file lines that name no setting.
@@ -1123,8 +1261,9 @@ def config_files(draw):
     return "".join(f"{line}\n" for line in draw(st.permutations(lines)))
 
 
-# The exit-2 errors that README lists as rejected after loading.
-REJECTED_AFTER_LOADING = ("the test set is empty", "leaves an empty train or validation split")
+# The exit-2 errors that README lists as found after loading.
+REJECTED_AFTER_LOADING = ("the test set is empty", "leaves an empty train or validation split",
+                          "does not load as a run report")
 
 
 @pytest.fixture
@@ -1157,6 +1296,8 @@ def test_property_config_files_exit_with_a_documented_code(tmp_path, monkeypatch
     for name, header in (("foreign", "name,score"), ("ours", ",".join(harness.CSV_HEADER))):
         (tmp / name).mkdir()
         (tmp / name / "results.csv").write_text(header + "\n")
+    (tmp / "stray").mkdir()  # results.csv cannot be rebuilt from its reports
+    (tmp / "stray" / "x.report.json").write_text('{"dataset": "x"}')
     cfg = tmp / "run.cfg"
     cfg.write_text(text.format(tmp=tmp))
     try:
