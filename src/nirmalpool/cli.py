@@ -68,8 +68,9 @@ SETTINGS = {
 
 
 def parse_config_file(path) -> dict:
-    """key=value lines; '#' starts a comment; unknown keys are rejected."""
-    values = {}
+    """key=value lines; '#' starts a comment; unknown keys and a key set twice
+    are rejected."""
+    values, first_lines = {}, {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -80,6 +81,9 @@ def parse_config_file(path) -> dict:
         key, value = key.strip(), value.strip()
         if key not in SETTINGS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in first_lines:
+            raise ValueError(f"{path}:{lineno}: {key}: already set on line {first_lines[key]}")
+        first_lines[key] = lineno
         _, parse, _ = SETTINGS[key]
         try:
             values[key] = parse(value)

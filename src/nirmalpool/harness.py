@@ -327,7 +327,7 @@ def write_report(report: RunReport, output_dir) -> Path:
             r = RunReport.from_json(path.read_text())
             writer.writerow([r.dataset, r.variant, r.seed, r.fingerprint, len(r.epochs),
                              f"{r.test_loss:.6f}", f"{r.test_accuracy:.6f}"])
-        except (KeyError, RecursionError, TypeError, ValueError) as exc:  # any file content
+        except (KeyError, OSError, RecursionError, TypeError, ValueError) as exc:  # any file
             raise ValueError(f"{path} does not load as a run report "
                              f"({type(exc).__name__}: {exc})") from None
     _write_atomic(out / "results.csv", table.getvalue())

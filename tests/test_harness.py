@@ -179,17 +179,20 @@ def test_write_report_keeps_the_report_when_the_results_csv_rename_fails(tmp_pat
 
 
 @pytest.mark.parametrize("text", ['{"dataset": "x"}', "not json", "[]", '{"epochs": [1]}',
-                                  "\udcff", "[" * 100000 + "]" * 100000],
+                                  "\udcff", "[" * 100000 + "]" * 100000, None],
                          ids=["missing_keys", "not_json", "a_list", "bad_epochs", "not_utf8",
-                              "deeply_nested"])
+                              "deeply_nested", "directory"])
 def test_cli_unloadable_report_in_output_dir_exit_code(tmp_path, capsys, text):
-    """A *.report.json that does not load stops the table's rebuild after the
-    run: exit 2 naming the file, with the run's report written and results.csv
-    left as it was."""
+    """A *.report.json that does not load (text None: a directory) stops the
+    table's rebuild after the run: exit 2 naming the file, with the run's
+    report written and results.csv left as it was."""
     harness.write_report(fake_report("nirmal", 0, 0.001, 1.0), tmp_path)
     before = (tmp_path / "results.csv").read_bytes()
     stray = tmp_path / "x.report.json"
-    stray.write_text(text, errors="surrogateescape")
+    if text is None:
+        stray.mkdir()
+    else:
+        stray.write_text(text, errors="surrogateescape")
     code = cli.main(["train", "--dataset", "synthetic", "--epochs", "1",
                      "--output-dir", str(tmp_path)])
     captured = capsys.readouterr()
@@ -231,11 +234,22 @@ def cli_compare(capsys, tmp_path, name="out", **settings):
 
 
 def test_compare_runs_both_variants(tmp_path, capsys):
-    reports, lines = cli_compare(capsys, tmp_path)
+    reports, lines = cli_compare(capsys, tmp_path, epochs=2)
     assert list(reports) == ["max2x2", "nirmal"]
+    assert len(list((tmp_path / "out").glob("*.report.json"))) == 2
     for variant, report in reports.items():
         assert report.variant == variant
         assert report.seed == 2
+    # Each run prints one line per epoch, as its report holds it, before its report's path.
+    runs, run = [], []
+    for line in lines:
+        if line.startswith("epoch "):
+            run.append(line)
+        elif line.startswith("report written to "):
+            runs.append(run)
+            run = []
+    assert runs == [[epoch_line(e) for e in report.epochs] for report in reports.values()]
+    assert [len(report.epochs) for report in reports.values()] == [2, 2]
     # The table's row for each variant gives the test loss and accuracy its report holds.
     header = lines.index("variant          loss   accuracy")
     rows = [line.split() for line in lines[header + 1:header + 3]]
@@ -477,6 +491,12 @@ def test_cli_train_writes_outputs(tmp_path, capsys):
     assert "test loss" in out
 
 
+def epoch_line(e):
+    """The line cli prints for one epoch: its four reported numbers to 4 places."""
+    return (f"epoch {e.epoch}: train loss {e.train_loss:.4f} acc {e.train_accuracy:.4f} | "
+            f"val loss {e.val_loss:.4f} acc {e.val_accuracy:.4f}")
+
+
 def test_cli_train_prints_each_epoch_line_from_its_report(tmp_path, capsys):
     """One line per epoch, each holding that epoch's four reported numbers to 4 places."""
     assert cli.main(["train", "--dataset", "synthetic", "--epochs", "2",
@@ -485,10 +505,7 @@ def test_cli_train_prints_each_epoch_line_from_its_report(tmp_path, capsys):
     [report_path] = tmp_path.glob("*.report.json")
     epochs = harness.RunReport.from_json(report_path.read_text()).epochs
     assert len(lines) == len(epochs) == 2
-    for line, e in zip(lines, epochs):
-        assert line == (f"epoch {e.epoch}: train loss {e.train_loss:.4f} "
-                        f"acc {e.train_accuracy:.4f} | val loss {e.val_loss:.4f} "
-                        f"acc {e.val_accuracy:.4f}")
+    assert lines == [epoch_line(e) for e in epochs]
 
 
 def test_cli_compare_keeps_the_finished_report_when_the_next_run_diverges(tmp_path,
@@ -767,6 +784,26 @@ def _write_mnist_with_a_directory(sub):
     (sub / names[2]).mkdir()
 
 
+def _write_cifar10(sub):
+    rng = np.random.default_rng(0)
+    for name in harness.CIFAR_TRAIN_FILES + harness.CIFAR_TEST_FILES:
+        records = rng.integers(0, 256, (4, data.CIFAR_RECORD_BYTES), dtype=np.uint8)
+        records[:, 0] %= 10
+        (sub / name).write_bytes(records.tobytes())
+
+
+def _write_cifar10_with_a_directory(sub):
+    _write_cifar10(sub)
+    (sub / "data_batch_3.bin").unlink()
+    (sub / "data_batch_3.bin").mkdir()
+
+
+def _write_cifar10_one_byte_short(sub):
+    _write_cifar10(sub)
+    path = sub / "data_batch_2.bin"
+    path.write_bytes(path.read_bytes()[:-1])
+
+
 def _write_mnist_with_fewer_labels(sub):
     rng = np.random.default_rng(0)
     names = harness.MNIST_FILES["mnist_digits"]
@@ -775,20 +812,23 @@ def _write_mnist_with_fewer_labels(sub):
         data.write_idx_labels(sub / labels, rng.integers(0, 10, 60))
 
 
-@pytest.mark.parametrize("write, message", [
-    (_write_truncated_mnist, "truncated header"),
-    (_write_mnist_label_12, "train-labels-idx1-ubyte: label out of range: 12"),
-    (_write_mnist_with_a_directory, "t10k-images-idx3-ubyte: Is a directory"),
-    (_write_mnist_with_fewer_labels,
+@pytest.mark.parametrize("dataset, write, message", [
+    ("mnist_digits", _write_truncated_mnist, "truncated header"),
+    ("mnist_digits", _write_mnist_label_12, "train-labels-idx1-ubyte: label out of range: 12"),
+    ("mnist_digits", _write_mnist_with_a_directory, "t10k-images-idx3-ubyte: Is a directory"),
+    ("mnist_digits", _write_mnist_with_fewer_labels,
      "train-images-idx3-ubyte, {sub}/train-labels-idx1-ubyte: 64 images but 60 labels"),
-], ids=["truncated", "label_out_of_range", "unreadable", "count_mismatch"])
-def test_cli_malformed_data_file_is_a_data_error(tmp_path, capsys, write, message):
+    ("cifar10", _write_cifar10_with_a_directory, "{sub}/data_batch_3.bin: Is a directory"),
+    ("cifar10", _write_cifar10_one_byte_short, "{sub}/data_batch_2.bin: size"),
+], ids=["truncated", "label_out_of_range", "unreadable", "count_mismatch", "cifar_unreadable",
+        "cifar_truncated"])
+def test_cli_malformed_data_file_is_a_data_error(tmp_path, capsys, dataset, write, message):
     """A data.FormatError, or a dataset file that exists but cannot be read,
     exits 3 (data), not 2, and writes no output."""
-    sub = tmp_path / "mnist_digits"
+    sub = tmp_path / dataset
     sub.mkdir()
     write(sub)
-    code = cli.main(["train", "--dataset", "mnist_digits", "--data-root", str(tmp_path),
+    code = cli.main(["train", "--dataset", dataset, "--data-root", str(tmp_path),
                      "--output-dir", str(tmp_path / "out")])
     assert code == cli.EXIT_DATA
     assert message.format(sub=sub) in capsys.readouterr().err
@@ -1107,6 +1147,7 @@ def test_cli_config_file_errors(tmp_path):
     ("epochs", "three", "invalid literal for int() with base 10: 'three'"),
     ("lr", "fast", "could not convert string to float: 'fast'"),
     ("pool_targets", "5", "each stage is 'half' or HxW, got '5'"),
+    ("dataset", "synthetic", "already set on line 1"),  # a key set twice, even to one value
 ])
 def test_cli_config_file_value_error_names_file_line_and_key(tmp_path, capsys, key, value,
                                                              message):
