@@ -67,11 +67,17 @@ SETTINGS = {
 }
 
 
-def parse_config_file(path) -> dict:
-    """key=value lines; '#' starts a comment; unknown keys and a key set twice
-    are rejected."""
+def parse_config_file(path) -> tuple[dict, dict]:
+    """key=value lines of UTF-8 text; '#' starts a comment; unknown keys and a
+    key set twice are rejected. Returns the settings and the line of each."""
     values, first_lines = {}, {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    content = Path(path).read_bytes()
+    try:
+        text = content.decode()
+    except UnicodeDecodeError as exc:  # name the line of the first byte that does not decode
+        lineno = content.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{lineno}: {exc}") from None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -89,7 +95,7 @@ def parse_config_file(path) -> dict:
             values[key] = parse(value)
         except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
-    return values
+    return values, first_lines
 
 
 def add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -102,13 +108,12 @@ def add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def build_config(args: argparse.Namespace) -> harness.RunConfig:
-    values = {}
-    if args.config:
-        values.update(parse_config_file(args.config))
+    values, lines = parse_config_file(args.config) if args.config else ({}, {})
     for name in SETTINGS:
         flag = getattr(args, name, None)
         if flag is not None:
             values[name] = flag
+            lines.pop(name, None)
     if getattr(args, "command", None) == "compare" and "pooling_variant" in values:
         raise ValueError("compare trains every variant; "
                          "--variant and pooling_variant are for train")
@@ -116,7 +121,13 @@ def build_config(args: argparse.Namespace) -> harness.RunConfig:
         values.setdefault("train_limit", 10000)
         values.setdefault("test_limit", 2000)
         values["epochs"] = min(values.get("epochs", harness.RunConfig.epochs), 3)
-    return harness.RunConfig(**values)
+    try:
+        return harness.RunConfig(**values)
+    except ValueError as exc:  # a message naming one setting, set in the file, names its line
+        named = [key for key in SETTINGS if key in str(exc).split()]
+        if len(named) == 1 and named[0] in lines:
+            raise ValueError(f"{args.config}:{lines[named[0]]}: {exc}") from None
+        raise
 
 
 def _train_and_write(config: harness.RunConfig) -> harness.RunReport:

@@ -94,7 +94,8 @@ def test_gradient_suite():
 
 def test_worked_parameter_cases():
     p = pooling.compute_pool_params(28, 28, 14, 14)
-    assert (p.window_h, p.stride_h) == (2, 2)
+    assert (p.window_h, p.stride_h, p.out_h) == (2, 2, 14)
+    assert (p.window_w, p.stride_w, p.out_w) == (2, 2, 14)
     p = pooling.compute_pool_params(28, 28, 10, 10)
     assert (p.window_h, p.stride_h, p.out_h) == (3, 2, 13)
     p = pooling.compute_pool_params(4, 4, 8, 8)

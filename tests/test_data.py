@@ -58,16 +58,6 @@ def test_idx_truncated_rejected(tmp_path):
         data.load_idx_images(short)
 
 
-def test_idx_roundtrip(tmp_path):
-    rng = np.random.default_rng(0)
-    images = rng.integers(0, 256, size=(5, 4, 3), dtype=np.uint8)
-    labels = rng.integers(0, 10, size=5, dtype=np.uint8)
-    data.write_idx_images(tmp_path / "img", images)
-    data.write_idx_labels(tmp_path / "lab", labels)
-    assert (data.load_idx_images(tmp_path / "img") == images).all()
-    assert (data.load_idx_labels(tmp_path / "lab") == labels).all()
-
-
 def test_load_mnist_normalization(tmp_path):
     images = np.array([[[0, 128], [255, 64]]], dtype=np.uint8)
     data.write_idx_images(tmp_path / "img", images)
@@ -80,16 +70,6 @@ def test_load_mnist_normalization(tmp_path):
     assert read.tobytes() == (images.astype(np.float64)[..., None] / 255.0).tobytes()
     assert (read >= 0).all() and (read <= 1).all()
     assert ds.labels.tolist() == [7]
-
-
-def test_cifar_single_record(tmp_path):
-    path = tmp_path / "batch.bin"
-    path.write_bytes(make_cifar_record(7, red=255))
-    ds = data.load_cifar10([path])
-    assert len(ds) == 1
-    assert ds.labels[0] == 7
-    assert (ds.images[0, :, :, 0] == 1.0).all()
-    assert (ds.images[0, :, :, 1:] == 0.0).all()
 
 
 def test_cifar_empty_and_two_records(tmp_path):
@@ -197,13 +177,6 @@ def test_batches_of_byte_images_equal_float64_batches(tmp_path, loader):
             assert images.dtype == np.float64
             assert images.tobytes() == want_images.tobytes()
             assert (labels == want_labels).all()
-
-
-def test_cifar_bad_size_rejected(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"\x00" * 3072)
-    with pytest.raises(data.FormatError):
-        data.load_cifar10([path])
 
 
 def test_cifar_bad_label_rejected(tmp_path):

@@ -3,9 +3,9 @@
 Each case writes small seeded dataset files in the real IDX (MNIST) or
 CIFAR-10 binary format and trains through the real loaders, split, batches,
 Adam and evaluation. A change that moves any of these numbers moves them on
-every run, so `test_run_determinism` cannot see it; these literals can. A
-change that means to move them updates them and says why; a refactor leaves
-them alone.
+every run, so `test_acceptance.py::test_determinism` cannot see it; these
+literals can. A change that means to move them updates them and says why; a
+refactor leaves them alone.
 
 The relative tolerance of 1e-10 is there for CI, whose CPU and BLAS kernels
 may round a matrix product differently; on one machine the values repeat

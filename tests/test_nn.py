@@ -27,16 +27,6 @@ def test_conv_ones_kernel_constant_plane():
     assert out.shape == (1, 4, 4, 1)
 
 
-def test_conv_matches_loop_oracle():
-    rng = np.random.default_rng(1)
-    x = rng.normal(size=(1, 5, 5, 1))
-    kernels = rng.normal(size=(3, 3, 1, 2))
-    bias = rng.normal(size=2)
-    out = nn.conv2d_forward(x, kernels, bias)
-    expected = oracles.conv2d_oracle(x, kernels, bias)
-    np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-14)
-
-
 def test_im2col_of_a_cropped_view_matches_brute_force():
     # A cropped slice of a whole-batch map, as model_forward passes a conv:
     # not contiguous, so window views built from wrong strides read wrong pixels.
@@ -72,15 +62,6 @@ def test_conv_backward_zero_grad():
     assert (gx == 0).all() and (gk == 0).all() and (gb == 0).all()
 
 
-def test_conv_backward_bias_law():
-    rng = np.random.default_rng(3)
-    x = rng.normal(size=(2, 5, 5, 1))
-    kernels = rng.normal(size=(3, 3, 1, 4))
-    grad_out = rng.normal(size=(2, 3, 3, 4))
-    _, _, gb = nn.conv2d_backward(x, kernels, grad_out)
-    np.testing.assert_allclose(gb, grad_out.sum(axis=(0, 1, 2)), rtol=1e-12)
-
-
 def test_conv_backward_finite_differences():
     result = gradcheck.check_conv2d_backward(np.random.default_rng(4))
     assert result.max_rel_error < 1e-6
@@ -92,45 +73,16 @@ EIGHTHS = st.integers(-16, 16).map(lambda v: v / 8)
 
 
 @st.composite
-def conv_case(draw, batch=st.integers(1, 3)):
-    """(x, kernels, grad_out): batch 1-3 by default, kernels 1-3 by 1-3, 1-3
-    channels in and out, and input extents from the kernel's up to 7 (1x1
-    output included)."""
+def conv_case(draw):
+    """(x, kernels, grad_out): batch 1-5, kernels 1-3 by 1-3, 1-3 channels in
+    and out, and input extents from the kernel's up to 7 (1x1 output included)."""
     kh, kw = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    b, c_in, c_out = draw(batch), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    b, c_in, c_out = draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
     h, w = draw(st.integers(kh, 7)), draw(st.integers(kw, 7))
     x = draw(arrays(np.float64, (b, h, w, c_in), elements=EIGHTHS))
     kernels = draw(arrays(np.float64, (kh, kw, c_in, c_out), elements=EIGHTHS))
     grad_out = draw(arrays(np.float64, (b, h - kh + 1, w - kw + 1, c_out), elements=EIGHTHS))
     return x, kernels, grad_out
-
-
-_ONE_BY_ONE = (np.arange(1, 19, dtype=float).reshape(2, 3, 3, 1) / 8,
-               np.arange(-9, 9, dtype=float).reshape(3, 3, 1, 2) / 8,
-               np.array([[[[1.0, -0.5]]], [[[0.25, 2.0]]]]))
-
-
-# No deadline: timings on a shared machine vary too much to gate on.
-@settings(deadline=None)
-@given(conv_case())
-@example(_ONE_BY_ONE)
-def test_property_conv_backward_matches_oracle(case):
-    x, kernels, grad_out = case
-    got = nn.conv2d_backward(x, kernels, grad_out)
-    for actual, expected in zip(got, oracles.conv2d_backward_oracle(x, kernels, grad_out)):
-        assert actual.shape == expected.shape
-        np.testing.assert_allclose(actual, expected, rtol=1e-12)
-
-
-def test_conv_backward_without_grad_x():
-    rng = np.random.default_rng(5)
-    x = rng.normal(size=(2, 6, 5, 3))
-    kernels = rng.normal(size=(3, 2, 3, 4))
-    grad_out = rng.normal(size=(2, 4, 4, 4))
-    gx, gk, gb = nn.conv2d_backward(x, kernels, grad_out, need_grad_x=False)
-    _, gk_full, gb_full = nn.conv2d_backward(x, kernels, grad_out)
-    assert gx is None
-    assert np.array_equal(gk, gk_full) and np.array_equal(gb, gb_full)
 
 
 # A grad_out over the pool's footprint only: CIFAR's conv1 (29 of 30) and
@@ -173,14 +125,19 @@ def test_conv_backward_rejects_incompatible_grad_out(grad_shape, kernel_shape):
         nn.conv2d_backward(np.zeros((2, 6, 6, 2)), np.zeros(kernel_shape), np.zeros(grad_shape))
 
 
+_ONE_BY_ONE = (np.arange(1, 19, dtype=float).reshape(2, 3, 3, 1) / 8,
+               np.arange(-9, 9, dtype=float).reshape(3, 3, 1, 2) / 8,
+               np.array([[[[1.0, -0.5]]], [[[0.25, 2.0]]]]))
 _RAGGED = (np.arange(3 * 4 * 4 * 2, dtype=float).reshape(3, 4, 4, 2) / 8 - 3,
            np.arange(-9, 9, dtype=float).reshape(3, 3, 2, 1) / 8,
            np.arange(3 * 2 * 2, dtype=float).reshape(3, 2, 2, 1) / 8 - 0.5)
 
 
-# Batches of 2-5, each convolved by one GEMM over all its images.
+# Batches of 1-5, each convolved by one GEMM over all its images. No
+# deadline: timings on a shared machine vary too much to gate on.
 @settings(deadline=None)
-@given(conv_case(batch=st.integers(2, 5)))
+@given(conv_case())
+@example(_ONE_BY_ONE)
 @example(_RAGGED)
 def test_property_blocked_conv_matches_oracle(case):
     x, kernels, grad_out = case
@@ -408,15 +365,6 @@ def test_sgd_step_decreases_loss():
     logits1, _ = nn.model_forward(spec, stepped, batch)
     loss1, _ = nn.softmax_cross_entropy(logits1, labels)
     assert loss1 < loss0
-
-
-def test_model_forward_deterministic():
-    spec = gradcheck.toy_model_spec("nirmal")
-    params = nn.init_params(spec, (1, 8, 8, 1), seed=13)
-    batch = np.random.default_rng(14).uniform(size=(3, 8, 8, 1))
-    a, _ = nn.model_forward(spec, params, batch)
-    b, _ = nn.model_forward(spec, params, batch)
-    assert (a == b).all()
 
 
 @pytest.mark.parametrize("variant", ["nirmal", "max2x2"])
