@@ -147,7 +147,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    config = build_config(args)
+    config = build_config(args)  # nirmal's, so its targets were checked before any run
     configs = {v: replace(config, pooling_variant=v) for v in nn.VARIANTS}
     reports = {v: _train_and_write(c) for v, c in configs.items()}
     print(f"{'variant':<10} {'loss':>10} {'accuracy':>10}")

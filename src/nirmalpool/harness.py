@@ -10,7 +10,7 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +42,6 @@ class DivergenceError(RuntimeError):
 
     def __init__(self, epoch: int):
         super().__init__(f"non-finite loss at epoch {epoch}")
-        self.epoch = epoch
 
 
 @dataclass(frozen=True)
@@ -58,7 +57,7 @@ class RunConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-7
-    # nn.ModelSpec's per-stage targets, stored padded to one per stage; None if all halve.
+    # nn.ModelSpec's per-stage targets, stored padded to one per stage; None if none is read.
     pool_targets: tuple[tuple[int, int] | None, ...] | None = None
     train_limit: int | None = None  # desk-scale subsampling
     test_limit: int | None = None
@@ -93,10 +92,7 @@ class RunConfig:
         # One network, one spelling of its targets, so one run has one fingerprint.
         object.__setattr__(self, "pool_targets",
                            spec.pool_targets if any(spec.pool_targets) else None)
-        # nn.plan judges every stage's geometry on the dataset's images, under
-        # either variant, as compare runs both.
-        for variant in nn.VARIANTS:
-            nn.plan(replace(spec, pooling_variant=variant), (1, *DATASETS[self.dataset]))
+        nn.plan(spec, (1, *DATASETS[self.dataset]))  # judges each stage's geometry on its images
         # The nearest existing path at or above output_dir must be a directory,
         # or write_report could not make it once training is done.
         out = Path(self.output_dir)
@@ -263,7 +259,7 @@ def setup(config: RunConfig) -> tuple[datasets.Split, datasets.Dataset, nn.Model
 def train(config: RunConfig, on_epoch=lambda metrics: None) -> RunReport:
     """Train and evaluate a config, which checked its settings when it was built.
     Each epoch's `EpochMetrics` goes to `on_epoch` as the epoch ends; `train` prints nothing."""
-    start_time = time.time()
+    start_time = time.perf_counter()
     split, test_set, spec, params, state = setup(config)
     epoch_metrics: list[EpochMetrics] = []
     for epoch in range(config.epochs):
@@ -292,7 +288,7 @@ def train(config: RunConfig, on_epoch=lambda metrics: None) -> RunReport:
     return RunReport(dataset=config.dataset, variant=config.pooling_variant,
                      seed=config.seed, fingerprint=config.fingerprint(),
                      epochs=epoch_metrics, test_loss=test_loss, test_accuracy=test_acc,
-                     wall_clock_seconds=time.time() - start_time,
+                     wall_clock_seconds=time.perf_counter() - start_time,
                      config=asdict(config))
 
 

@@ -4,7 +4,7 @@ flatten and softmax cross-entropy, each with forward and backward passes.
 The reference network is conv(32) -> pool -> conv(64) -> pool -> flatten ->
 dense(128) -> ReLU -> dense(10). The pooling stage is either the adaptive
 fused-ReLU operator or the fixed 2x2 baseline; its targets are checked
-under either, though the 2x2 baseline ignores them. `activation_placement`
+under either, and kept only by the adaptive one. `activation_placement`
 says whether a ReLU follows each convolution (`after_conv`) or the
 non-linearity is supplied solely by the pooling stage (`pool_only`). A ReLU
 commutes with max, relu(max(x)) = max(relu(x)), so `after_conv` is computed
@@ -181,7 +181,8 @@ class ModelSpec:
     # Every dense layer but the last is followed by a ReLU; the last gives the logits.
     dense_units: tuple[int, ...] = (128, 10)
     # Per-stage (target_h, target_w), ints >= 1, or None to halve the incoming
-    # map; checked under either variant, then padded with None to one per stage.
+    # map; checked under either variant, then padded with None to one per
+    # stage. max2x2 reads no target, so it keeps None at every stage.
     pool_targets: tuple[tuple[int, int] | None, ...] = ()
 
     def __post_init__(self):
@@ -198,15 +199,16 @@ class ModelSpec:
             for v in getattr(self, name):
                 if not (type(v) is int and v >= 1):
                     raise ValueError(f"{name} entry {v!r} is not an int >= 1")
-        missing = len(self.conv_filters) - len(self.pool_targets)
-        if missing < 0:
+        if len(self.pool_targets) > len(self.conv_filters):
             raise ValueError(f"{len(self.pool_targets)} pool_targets for "
                              f"{len(self.conv_filters)} conv stages")
         for t in self.pool_targets:
             if t is not None and not (isinstance(t, tuple) and len(t) == 2
                                       and all(type(v) is int and v >= 1 for v in t)):
                 raise ValueError(f"pool target {t!r} is neither None nor a pair of ints >= 1")
-        object.__setattr__(self, "pool_targets", (*self.pool_targets, *(None,) * missing))
+        kept = self.pool_targets if self.pooling_variant == "nirmal" else ()
+        object.__setattr__(self, "pool_targets",
+                           (*kept, *(None,) * (len(self.conv_filters) - len(kept))))
 
 
 @dataclass(frozen=True)
@@ -231,7 +233,7 @@ def plan(spec: ModelSpec, input_shape: tuple[int, int, int, int]) -> tuple[Stage
             raise ValueError(f"spatial dims {(h, w)} smaller than kernel {(KERNEL_SIZE,) * 2}")
         h, w = h - KERNEL_SIZE + 1, w - KERNEL_SIZE + 1
         if spec.pooling_variant == "max2x2":
-            target, relu = None, spec.activation_placement == "after_conv"
+            relu = spec.activation_placement == "after_conv"
             pool = pooling.max_pool2x2_params(h, w)
         else:
             target = target or (max(1, h // 2), max(1, w // 2))

@@ -308,8 +308,7 @@ def test_divergence_error_names_epoch(monkeypatch):
     monkeypatch.setattr(nn, "softmax_cross_entropy", patched)
     with pytest.raises(harness.DivergenceError) as exc_info:
         harness.train(synth_config(epochs=1, batch_size=64))
-    assert exc_info.value.epoch == 0
-    assert "epoch 0" in str(exc_info.value)
+    assert str(exc_info.value) == "non-finite loss at epoch 0"
 
 
 def test_train_and_evaluate_take_one_step_call_per_batch(record):
@@ -633,8 +632,8 @@ def test_cli_empty_validation_split_exit_code(tmp_path):
 
 
 def test_cli_compare_bad_pool_target_exit_code(tmp_path, reads):
-    """A bad target is rejected before either variant reads data, though the
-    max2x2 run, which goes first, ignores targets."""
+    """A bad target is rejected before either variant reads data: compare's
+    config is the nirmal one, which reads targets, though the max2x2 run goes first."""
     code = cli.main(["compare", "--dataset", "synthetic", "--epochs", "1",
                      "--pool-targets", "0x0", "--output-dir", str(tmp_path / "out")])
     assert code == cli.EXIT_CONFIG
@@ -1233,6 +1232,49 @@ def test_pool_targets_that_halve_every_stage_take_the_default_fingerprint():
             assert halved == default and halved.fingerprint() == default.fingerprint()
     assert harness.RunConfig(pool_targets=((13, 13),)).fingerprint() == \
         harness.RunConfig(pool_targets=((13, 13), None)).fingerprint()
+
+
+def test_max2x2_keeps_no_pool_targets():
+    """The 2x2 pool reads no target, so every spelling of targets is one
+    max2x2 config with one fingerprint, even targets only nirmal rejects."""
+    default = harness.RunConfig(dataset="mnist_digits", pooling_variant="max2x2")
+    assert default.fingerprint() == "a935b95454d01345"
+    for targets in (None, ((12, 12), (5, 5)), ((1, 1), None)):
+        config = harness.RunConfig(dataset="mnist_digits", pooling_variant="max2x2",
+                                   pool_targets=targets)
+        assert config == default and config.fingerprint() == default.fingerprint()
+    with pytest.raises(ValueError, match=r"spatial dims \(1, 1\) smaller than kernel \(3, 3\)"):
+        harness.RunConfig(dataset="mnist_digits", pool_targets=((1, 1), None))
+
+
+def test_cli_compare_with_and_without_targets_writes_one_max2x2_run(tmp_path):
+    """Two compares into one directory, one with targets, train one max2x2
+    network: one max2x2 report and row, and two nirmal ones."""
+    rng = np.random.default_rng(0)
+    sub = tmp_path / "mnist_digits"
+    sub.mkdir()
+    names = harness.MNIST_FILES["mnist_digits"]
+    for images, labels in (names[:2], names[2:]):
+        data.write_idx_images(sub / images, rng.integers(0, 256, (20, 28, 28)))
+        data.write_idx_labels(sub / labels, rng.integers(0, 10, 20))
+    out = tmp_path / "out"
+    common = ["--dataset", "mnist_digits", "--data-root", str(tmp_path), "--epochs", "1",
+              "--output-dir", str(out)]
+    assert cli.main(["compare", *common, "--pool-targets", "12x12,5x5"]) == cli.EXIT_OK
+    assert cli.main(["compare", *common]) == cli.EXIT_OK
+    assert len(list(out.glob("mnist_digits_max2x2_*.report.json"))) == 1
+    assert len(list(out.glob("mnist_digits_nirmal_*.report.json"))) == 2
+    with open(out / "results.csv") as f:
+        variants = [row[1] for row in csv.reader(f)][1:]
+    assert sorted(variants) == ["max2x2", "nirmal", "nirmal"]
+
+
+def test_wall_clock_seconds_survive_a_system_clock_set_back(monkeypatch):
+    """`time.time` runs backwards, as when the system clock is reset during a
+    run; the run is timed on a monotonic clock, so its wall clock stays >= 0."""
+    clock = itertools.count(1e9, -3600.0)
+    monkeypatch.setattr(harness.time, "time", lambda: next(clock))
+    assert harness.train(synth_config(epochs=1)).wall_clock_seconds >= 0
 
 
 # Text for each cli.SETTINGS row: values RunConfig accepts on their own

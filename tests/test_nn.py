@@ -844,14 +844,16 @@ def test_model_spec_validation():
         nn.ModelSpec(activation_placement="everywhere")
     with pytest.raises(ValueError):
         nn.ModelSpec(dense_units=())
-    with pytest.raises(ValueError):
-        nn.ModelSpec(conv_filters=(8,), pool_targets=(None, None))
-    # Targets are checked under either variant, though max2x2 ignores them.
+    # Targets are checked under either variant; max2x2 reads none, so keeps none.
     for variant in ("nirmal", "max2x2"):
+        with pytest.raises(ValueError, match="3 pool_targets for 2 conv stages"):
+            nn.ModelSpec(pooling_variant=variant, pool_targets=(None, None, None))
         for target in ((0, 0), (2.5, 3), (3,), (True, 3), (3, -1), [3, 3], "33"):
             with pytest.raises(ValueError):
                 nn.ModelSpec(pooling_variant=variant, pool_targets=(target,))
-        assert nn.ModelSpec(pooling_variant=variant, pool_targets=((1, 7), None))
+    assert nn.ModelSpec(pool_targets=((1, 7),)).pool_targets == ((1, 7), None)
+    assert nn.ModelSpec(pooling_variant="max2x2", pool_targets=((1, 7),)) \
+        == nn.ModelSpec(pooling_variant="max2x2", pool_targets=(None, None))
 
 
 @pytest.mark.parametrize("layers", [
